@@ -5,8 +5,8 @@
 # extraction kernels, and the serve layer's MPMC queue + micro-batching
 # scheduler are the code most likely to regress into a data race; this
 # script configures a dedicated build tree with -DDUO_SANITIZE=thread and
-# runs the thread-pool, parallel-determinism, serve, and pipelined-attack
-# suites under TSan.
+# runs the thread-pool, parallel-determinism, GEMM, serve, and
+# pipelined-attack suites under TSan.
 #
 # Usage: scripts/tsan_check.sh [build-dir]   (default: build-tsan)
 set -euo pipefail
@@ -17,7 +17,7 @@ build_dir="${1:-$repo_root/build-tsan}"
 cmake -B "$build_dir" -S "$repo_root" -DDUO_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$build_dir" -j "$(nproc)" \
-  --target test_thread_pool test_parallel_determinism test_serve \
+  --target test_thread_pool test_parallel_determinism test_gemm test_serve \
   test_sparse_query test_failure_modes test_gradcheck test_ivf_index \
   test_retrieval test_campaign test_crash_recovery
 
@@ -32,7 +32,7 @@ cmake --build "$build_dir" -j "$(nproc)" \
 # from the uninstrumented libstdc++ (see the file for details).
 export TSAN_OPTIONS="suppressions=$repo_root/scripts/tsan.supp ${TSAN_OPTIONS:-halt_on_error=1}"
 ctest --test-dir "$build_dir" \
-  -R 'ThreadPool|ParallelDeterminism|Conv3d|Pooling|Extractor|Gallery|Serve|SparseQueryPipelined|FaultInjection|Resilient|Admission|Pacer|Aimd|Circuit|CheckGrad|Ivf|RetrievalIndex|Campaign|CrashRecovery' \
+  -R 'ThreadPool|ParallelDeterminism|Gemm|Conv3d|Pooling|Extractor|Gallery|Serve|SparseQueryPipelined|FaultInjection|Resilient|Admission|Pacer|Aimd|Circuit|CheckGrad|Ivf|RetrievalIndex|Campaign|CrashRecovery' \
   --output-on-failure --timeout 1800
 
 # The overload soak stresses the admission controller, rate limiter, pacer,

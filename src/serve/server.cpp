@@ -100,8 +100,11 @@ bool RetrievalServer::enqueue(Request& req,
                               const RequestOptions& opts) {
   req.client_id = opts.client_id;
   // Rate limiting first: a throttled request must not even contend for queue
-  // space, and the decision needs no queue lock.
-  if (limiter_ != nullptr) {
+  // space, and the decision needs no queue lock. A crashed server is skipped:
+  // the submit is refused below as a connection loss, and a refusal must not
+  // spend the client's token (reconnect loops would drain the bucket during
+  // the downtime and come back throttled).
+  if (limiter_ != nullptr && !crashed_.load(std::memory_order_acquire)) {
     const double wait_ms = limiter_->try_acquire(opts.client_id,
                                                  clock_->now_ms());
     if (wait_ms > 0.0) {

@@ -11,17 +11,19 @@ Video::Video(Tensor data, VideoGeometry geometry, int label, std::int64_t id)
                 "Video: data shape does not match geometry");
 }
 
+// Both layouts share the pixel index p = (n·H + y)·W + x: the video is
+// [p][c] (channels interleaved), the model tensor [c][p] (channel planes).
+
 Tensor Video::to_model_input() const {
   const auto& g = geometry_;
   Tensor out({g.channels, g.frames, g.height, g.width});
   constexpr float kInv255 = 1.0f / 255.0f;
-  for (std::int64_t n = 0; n < g.frames; ++n) {
-    for (std::int64_t y = 0; y < g.height; ++y) {
-      for (std::int64_t x = 0; x < g.width; ++x) {
-        for (std::int64_t c = 0; c < g.channels; ++c) {
-          out.at(c, n, y, x) = data_.at(n, y, x, c) * kInv255;
-        }
-      }
+  const std::int64_t pixels = g.frames * g.height * g.width;
+  const float* src = data_.data();
+  float* dst = out.data();
+  for (std::int64_t p = 0; p < pixels; ++p) {
+    for (std::int64_t c = 0; c < g.channels; ++c) {
+      dst[c * pixels + p] = src[p * g.channels + c] * kInv255;
     }
   }
   return out;
@@ -34,13 +36,12 @@ Tensor Video::from_model_space(const Tensor& model_tensor,
                 "from_model_space: shape mismatch");
   Tensor out(g.tensor_shape());
   const float scale = scale_to_pixels ? 255.0f : 1.0f;
-  for (std::int64_t n = 0; n < g.frames; ++n) {
-    for (std::int64_t y = 0; y < g.height; ++y) {
-      for (std::int64_t x = 0; x < g.width; ++x) {
-        for (std::int64_t c = 0; c < g.channels; ++c) {
-          out.at(n, y, x, c) = model_tensor.at(c, n, y, x) * scale;
-        }
-      }
+  const std::int64_t pixels = g.frames * g.height * g.width;
+  const float* src = model_tensor.data();
+  float* dst = out.data();
+  for (std::int64_t p = 0; p < pixels; ++p) {
+    for (std::int64_t c = 0; c < g.channels; ++c) {
+      dst[p * g.channels + c] = src[c * pixels + p] * scale;
     }
   }
   return out;

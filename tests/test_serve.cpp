@@ -1082,6 +1082,55 @@ TEST(Serve, PerClientStatsBreakdownSumsToGlobals) {
   EXPECT_TRUE(server.stats().per_client.empty());
 }
 
+// A submit refused because the server crashed is a connection loss, not a
+// rate-limit decision: it spends no token, bills nothing and is not counted
+// as throttled. Otherwise a client reconnecting through the downtime drains
+// its bucket (virtual time, and so the refill, stands still here) and its
+// first submit after the restart comes back throttled.
+TEST(Admission, CrashedServerRefusalsSpendNoRateTokens) {
+  auto& w = ServeWorld::mutable_instance();
+  auto clock = std::make_shared<VirtualClock>();
+  ServerConfig cfg;
+  cfg.clock = clock;
+  cfg.client_rate = 1000.0;  // 1 token/ms
+  cfg.client_burst = 2.0;
+  RetrievalServer server(*w.system, cfg);
+  RequestOptions opts;
+  opts.client_id = "reconnector";
+
+  server.crash();
+  for (int i = 0; i < 5; ++i) {  // more submits than the burst holds
+    auto refused = server.submit(w.dataset.test[0], 5, opts);
+    try {
+      (void)refused.get();
+      FAIL() << "submit while crashed must fail";
+    } catch (const ServeError& e) {
+      EXPECT_TRUE(e.connection_lost()) << "refusal " << i;
+      EXPECT_FALSE(e.billed()) << "refusal " << i;
+    }
+  }
+  server.restart(server.snapshot());
+
+  // The whole burst survived the downtime: two answers, then the limiter.
+  EXPECT_EQ(server.submit(w.dataset.test[0], 5, opts).get(), w.expected[0]);
+  EXPECT_EQ(server.submit(w.dataset.test[1], 5, opts).get(), w.expected[1]);
+  auto third = server.submit(w.dataset.test[2], 5, opts);
+  try {
+    (void)third.get();
+    FAIL() << "the third back-to-back submit must be throttled";
+  } catch (const ServeError& e) {
+    EXPECT_EQ(e.code(), ServeErrorCode::kThrottled);
+  }
+  server.shutdown();
+
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.queries_served, 2);
+  EXPECT_EQ(stats.requests_throttled, 1);
+  const ClientStats& c = stats.per_client.at("reconnector");
+  EXPECT_EQ(c.throttled, 1);
+  EXPECT_EQ(c.billed(), 2);
+}
+
 // ISSUE 9: the kShed eviction is deadline-aware — under pressure the victim
 // is the queued request closest to its deadline (the least useful work
 // left), so a long-deadline request survives a storm of short-deadline ones.

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <unordered_set>
@@ -50,6 +52,35 @@ TEST(Video, ModelInputLayoutIsChannelMajor) {
   const Tensor m = v.to_model_input();
   EXPECT_FLOAT_EQ(m.at(0, 0, 0, 0), 1.0f);
   EXPECT_FLOAT_EQ(m.at(1, 0, 0, 1), 0.5f);
+}
+
+// The layout permutes must reproduce the element-wise formulation (one
+// multiply per element, read and written through at()) bit for bit.
+TEST(Video, ModelSpacePermutesMatchElementwiseReference) {
+  const auto bits = [](float x) { return std::bit_cast<std::uint32_t>(x); };
+  for (const VideoGeometry g : {VideoGeometry{3, 5, 7, 3},
+                                VideoGeometry{2, 4, 6, 2}}) {
+    Video v(g, 0, 0);
+    Rng rng(11);
+    for (auto& x : v.data().flat()) x = rng.uniform_f(-20.0f, 300.0f);
+    const Tensor model = v.to_model_input();
+    const Tensor pixels = Video::from_model_space(model, g, true);
+    const Tensor unit = Video::from_model_space(model, g, false);
+    ASSERT_EQ(model.shape(),
+              (Tensor::Shape{g.channels, g.frames, g.height, g.width}));
+    for (std::int64_t n = 0; n < g.frames; ++n) {
+      for (std::int64_t y = 0; y < g.height; ++y) {
+        for (std::int64_t x = 0; x < g.width; ++x) {
+          for (std::int64_t c = 0; c < g.channels; ++c) {
+            const float m = model.at(c, n, y, x);
+            ASSERT_EQ(bits(m), bits(v.data().at(n, y, x, c) * (1.0f / 255.0f)));
+            ASSERT_EQ(bits(pixels.at(n, y, x, c)), bits(m * 255.0f));
+            ASSERT_EQ(bits(unit.at(n, y, x, c)), bits(m * 1.0f));
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(Video, ClampValid) {
