@@ -48,18 +48,6 @@ void BM_TensorAxpy(benchmark::State& state) {
 }
 BENCHMARK(BM_TensorAxpy)->Arg(1 << 12)->Arg(1 << 16);
 
-void BM_TensorMatmul(benchmark::State& state) {
-  Rng rng(2);
-  const std::int64_t n = state.range(0);
-  const Tensor a = Tensor::uniform({n, n}, -1.0f, 1.0f, rng);
-  const Tensor b = Tensor::uniform({n, n}, -1.0f, 1.0f, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(a.matmul(b));
-  }
-  state.SetItemsProcessed(state.iterations() * n * n * n);
-}
-BENCHMARK(BM_TensorMatmul)->Arg(32)->Arg(64);
-
 // Conv3d forward at a paper-relevant size, sharded over the given number of
 // threads (first arg = pool size; 0 = hardware concurrency) and running the
 // given kernel (second arg: 0 = direct reference loops, 1 = im2col/GEMM).

@@ -19,7 +19,7 @@ cmake --build "$build_dir" -j "$(nproc)"
 ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
 
 DUO_THREADS=8 ctest --test-dir "$build_dir" \
-  -R 'ParallelDeterminism|Gemm|Serve|SparseQueryPipelined|FaultInjection|Resilient|Admission|Pacer|Aimd|Circuit|NeighborOrder|Ivf|Campaign|CrashRecovery' \
+  -R 'ParallelDeterminism|Gemm|Serve|SparseQuery|FaultInjection|Resilient|Admission|Pacer|Aimd|Circuit|NeighborOrder|Ivf|Campaign|CrashRecovery' \
   --output-on-failure
 
 # Kernel-equivalence re-run under the reference Conv3d kernel: the gradient

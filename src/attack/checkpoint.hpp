@@ -26,8 +26,10 @@
 
 namespace duo::attack {
 
-// Full state of attack::sparse_query / sparse_query_pipelined at the top of
-// iteration `next_iteration` (before that iteration's coordinate draw).
+// Full state of the Alg. 2 driver at the top of iteration `next_iteration`
+// (before that iteration's coordinate draw). sparse_query and
+// sparse_query_pipelined run the same loop and write the same state, so a
+// run killed in one overload resumes in either.
 struct SparseQueryCheckpoint {
   // Fingerprint — binds the checkpoint to (v, perturbation support, config).
   video::VideoGeometry geometry;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <future>
 #include <optional>
 #include <utility>
 
@@ -27,12 +26,8 @@ video::Video quantized(const video::Video& v) {
   return video::Video(std::move(data), v.geometry(), v.label(), v.id());
 }
 
-// Shared Alg. 2 step plan for the serial and pipelined drivers: the support
-// of φ (Eq. 4), the step magnitude ε (line 3), and the coordinate group
-// size. Pure computation — no Rng draws — so both drivers start from
-// identical plans and identical Rng streams; that, plus replaying the serial
-// acceptance order, is what makes the pipelined accepted-perturbation
-// sequence bitwise equal to the serial one.
+// Alg. 2 step plan: the support of φ (Eq. 4), the step magnitude ε (line 3),
+// and the coordinate group size. Pure computation — no Rng draws.
 struct StepPlan {
   std::vector<std::int64_t> support;
   float eps = 0.0f;
@@ -71,11 +66,11 @@ StepPlan make_step_plan(const Perturbation& perturbation,
   return plan;
 }
 
-// Checkpoint plumbing shared by both drivers. `enabled` gates all of it;
-// periodic saves are best-effort (an unwritable path must not kill an attack
-// that is otherwise making progress), while the fatal-path save right before
-// a rethrow is also best-effort but leaves the previous checkpoint intact on
-// failure thanks to the atomic commit.
+// Checkpoint plumbing. `enabled` gates all of it; periodic saves are
+// best-effort (an unwritable path must not kill an attack that is otherwise
+// making progress), while the fatal-path save right before a rethrow is also
+// best-effort but leaves the previous checkpoint intact on failure thanks to
+// the atomic commit.
 struct CheckpointContext {
   bool enabled = false;
   bool remove_on_success = false;
@@ -164,13 +159,18 @@ int try_resume(const SparseQueryConfig& config, const CheckpointContext& cc,
   return static_cast<int>(ck.next_iteration);
 }
 
-}  // namespace
-
-SparseQueryResult sparse_query(const video::Video& v,
-                               const Perturbation& perturbation,
-                               retrieval::BlackBoxHandle& victim,
-                               const ObjectiveContext& ctx,
-                               const SparseQueryConfig& config) {
+// The Alg. 2 driver, over any handle exposing
+//   submit(video::Video, std::size_t) -> awaitable with .get()
+//   query_count() -> std::int64_t
+// i.e. serve::AsyncBlackBoxHandle (raw futures), serve::ResilientHandle
+// (retrying PendingRetrievals) and DeferredHandle (a synchronous
+// BlackBoxHandle). One body gives the three public overloads the same
+// trajectory for the same seed and config.
+template <typename Handle>
+SparseQueryResult sparse_query_impl(const video::Video& v,
+                                    const Perturbation& perturbation,
+                                    Handle& victim, const ObjectiveContext& ctx,
+                                    const SparseQueryConfig& config) {
   const video::VideoGeometry& g = v.geometry();
   DUO_CHECK_MSG(perturbation.geometry() == g, "perturbation geometry mismatch");
   Rng rng(config.seed);
@@ -197,162 +197,11 @@ SparseQueryResult sparse_query(const video::Video& v,
       try_resume(config, cc, plan, v_adv, t_current, result.t_history,
                  queries_carried, stall, rng, deck, deck_pos, resumed);
   // Quantized shadow of v_adv, kept in sync per touched coordinate: every
-  // victim query sees round(v_adv) without re-rounding the whole tensor
-  // (the full copy used to dominate each step at paper-scale geometry).
+  // victim query sees round(v_adv) without re-rounding the whole tensor.
   video::Video q_adv = quantized(v_adv);
   if (!resumed) {
     // Line 2: T⁰. A resumed run restored T from the checkpoint instead —
     // the initial query was already billed by the first process.
-    t_current = t_loss(victim, q_adv, ctx);
-    result.t_history.push_back(t_current);
-  }
-
-  if (plan.support.empty()) {
-    result.v_adv = std::move(v_adv);
-    result.final_t = t_current;
-    result.queries_spent = queries_total();
-    cc.finished();
-    return result;
-  }
-
-  if (!resumed) {
-    // Without-replacement sampling: shuffled support, reshuffled on drain.
-    deck = plan.support;
-    rng.shuffle(deck);
-    deck_pos = 0;
-  }
-
-  std::vector<std::int64_t> coords;
-  std::vector<float> before;
-  std::vector<std::int64_t> deck_backup;
-  coords.reserve(plan.group);
-  before.reserve(plan.group);
-
-  for (int kappa = start_kappa;
-       kappa < config.iter_numQ &&
-       !(config.patience > 0 && stall >= config.patience);
-       ++kappa) {
-    if (cc.enabled && cc.every > 0 && kappa % cc.every == 0) {
-      cc.save(kappa, t_current, result.t_history, queries_total(), stall,
-              rng.state(), deck, static_cast<std::int64_t>(deck_pos),
-              v_adv.data());
-    }
-    // Snapshot of the sampler state at the top of the iteration, so a fatal
-    // victim error mid-iteration checkpoints a state that re-executes this
-    // iteration exactly. The deck itself is copied lazily — only if this
-    // iteration's draws reshuffle it.
-    const std::uint64_t rng_before = rng.state();
-    const std::size_t deck_pos_before = deck_pos;
-    bool deck_reshuffled = false;
-
-    coords.clear();
-    for (std::size_t c = 0; c < plan.group; ++c) {
-      if (deck_pos >= deck.size()) {
-        if (cc.enabled && !deck_reshuffled) deck_backup = deck;
-        deck_reshuffled = true;
-        rng.shuffle(deck);
-        deck_pos = 0;
-      }
-      coords.push_back(deck[deck_pos++]);
-    }
-
-    bool accepted = false;
-    try {
-      for (const float xi : {+plan.eps, -plan.eps}) {
-        before.clear();
-        bool changed = false;
-        for (const auto coord : coords) {
-          const float prev = v_adv.data()[coord];
-          before.push_back(prev);
-          const float after =
-              clip_pixel(prev + xi, v.data()[coord], config.tau);
-          if (after != prev) changed = true;
-          v_adv.data()[coord] = after;
-          q_adv.data()[coord] = std::round(after);
-        }
-        if (!changed) {
-          for (std::size_t c = 0; c < coords.size(); ++c) {
-            v_adv.data()[coords[c]] = before[c];
-            q_adv.data()[coords[c]] = std::round(before[c]);
-          }
-          continue;
-        }
-        const double t_candidate = t_loss(victim, q_adv, ctx);
-        if (t_candidate < t_current) {
-          t_current = t_candidate;
-          accepted = true;
-          break;  // Alg. 2 line 11
-        }
-        for (std::size_t c = 0; c < coords.size(); ++c) {
-          v_adv.data()[coords[c]] = before[c];  // revert the group
-          q_adv.data()[coords[c]] = std::round(before[c]);
-        }
-      }
-    } catch (...) {
-      // Unrecoverable victim fault while a candidate was applied: revert it,
-      // then checkpoint the pre-iteration state so a resumed run replays
-      // this iteration from scratch and converges to the same final video.
-      for (std::size_t c = 0; c < coords.size(); ++c) {
-        v_adv.data()[coords[c]] = before[c];
-        q_adv.data()[coords[c]] = std::round(before[c]);
-      }
-      if (cc.enabled) {
-        cc.save(kappa, t_current, result.t_history, queries_total(), stall,
-                rng_before, deck_reshuffled ? deck_backup : deck,
-                static_cast<std::int64_t>(deck_pos_before), v_adv.data());
-      }
-      throw;
-    }
-    result.t_history.push_back(t_current);
-    stall = accepted ? 0 : stall + 1;
-  }
-
-  result.v_adv = std::move(q_adv);
-  result.final_t = t_current;
-  result.queries_spent = queries_total();
-  cc.finished();
-  return result;
-}
-
-namespace {
-
-// Pipelined Algorithm 2 over any async handle exposing
-//   submit(video::Video, std::size_t) -> awaitable with .get()
-//   query_count() -> std::int64_t
-// i.e. serve::AsyncBlackBoxHandle (raw futures) and serve::ResilientHandle
-// (retrying PendingRetrievals). One body keeps the two public overloads'
-// semantics — and their bitwise-determinism contract — identical.
-template <typename Handle>
-SparseQueryResult sparse_query_pipelined_impl(const video::Video& v,
-                                              const Perturbation& perturbation,
-                                              Handle& victim,
-                                              const ObjectiveContext& ctx,
-                                              const SparseQueryConfig& config) {
-  const video::VideoGeometry& g = v.geometry();
-  DUO_CHECK_MSG(perturbation.geometry() == g, "perturbation geometry mismatch");
-  Rng rng(config.seed);
-  const StepPlan plan = make_step_plan(perturbation, config);
-  const CheckpointContext cc = CheckpointContext::make(config, v, plan);
-
-  SparseQueryResult result;
-  const std::int64_t queries_before = victim.query_count();
-  std::int64_t queries_carried = 0;
-  const auto queries_total = [&] {
-    return queries_carried + victim.query_count() - queries_before;
-  };
-
-  video::Video v_adv = perturbation.apply_to(v);
-  double t_current = 0.0;
-  std::vector<std::int64_t> deck;
-  std::size_t deck_pos = 0;
-  int stall = 0;
-
-  bool resumed = false;
-  const int start_kappa =
-      try_resume(config, cc, plan, v_adv, t_current, result.t_history,
-                 queries_carried, stall, rng, deck, deck_pos, resumed);
-  video::Video q_adv = quantized(v_adv);
-  if (!resumed) {
     t_current = t_loss_from_list(victim.submit(q_adv, ctx.m).get(), ctx);
     result.t_history.push_back(t_current);
   }
@@ -366,6 +215,7 @@ SparseQueryResult sparse_query_pipelined_impl(const video::Video& v,
   }
 
   if (!resumed) {
+    // Without-replacement sampling: shuffled support, reshuffled on drain.
     deck = plan.support;
     rng.shuffle(deck);
     deck_pos = 0;
@@ -391,6 +241,9 @@ SparseQueryResult sparse_query_pipelined_impl(const video::Video& v,
               rng.state(), deck, static_cast<std::int64_t>(deck_pos),
               v_adv.data());
     }
+    // Sampler state at the top of the iteration, so a fatal victim error
+    // checkpoints a state that re-executes this iteration exactly. The deck
+    // itself is copied lazily — only if this iteration's draws reshuffle it.
     const std::uint64_t rng_before = rng.state();
     const std::size_t deck_pos_before = deck_pos;
     bool deck_reshuffled = false;
@@ -406,9 +259,8 @@ SparseQueryResult sparse_query_pipelined_impl(const video::Video& v,
       coords.push_back(deck[deck_pos++]);
     }
 
-    // Both sign candidates from the same base values. (The serial path
-    // computes the −ε candidate only after reverting +ε, i.e. from these
-    // exact values, so the candidates — and the "changed" skips — match.)
+    // Both sign candidates from the pre-step values. A group that straddles
+    // a reshuffle can draw a coordinate twice; it still moves by one ε.
     plus_vals.clear();
     minus_vals.clear();
     bool changed_plus = false;
@@ -425,56 +277,43 @@ SparseQueryResult sparse_query_pipelined_impl(const video::Video& v,
 
     // Launch +ε, then build and launch −ε while the first forward is in
     // flight: candidate evaluation overlaps the perturbation bookkeeping.
+    const auto launch = [&](const std::vector<float>& vals) {
+      video::Video cand = q_adv;
+      for (std::size_t c = 0; c < coords.size(); ++c) {
+        cand.data()[coords[c]] = std::round(vals[c]);
+      }
+      return victim.submit(std::move(cand), ctx.m);
+    };
     std::optional<Awaitable> f_plus;
     std::optional<Awaitable> f_minus;
-    if (changed_plus) {
-      video::Video cand = q_adv;
-      for (std::size_t c = 0; c < coords.size(); ++c) {
-        cand.data()[coords[c]] = std::round(plus_vals[c]);
-      }
-      f_plus = victim.submit(std::move(cand), ctx.m);
-    }
-    if (changed_minus) {
-      video::Video cand = q_adv;
-      for (std::size_t c = 0; c < coords.size(); ++c) {
-        cand.data()[coords[c]] = std::round(minus_vals[c]);
-      }
-      f_minus = victim.submit(std::move(cand), ctx.m);
-    }
+    if (changed_plus) f_plus = launch(plus_vals);
+    if (changed_minus) f_minus = launch(minus_vals);
 
-    // Replay the serial acceptance order: +ε wins if it improves, −ε is
+    // Acceptance order: +ε wins if it improves (Alg. 2 line 11), −ε is
     // consulted only otherwise. A speculative −ε forward whose answer goes
-    // unused already cost the victim a query and stays counted. v_adv/q_adv
-    // are committed only after a successful get(), so a fatal fault leaves
-    // them at the pre-iteration state — exactly what gets checkpointed.
+    // unused already cost an async victim a query and stays counted.
+    // v_adv/q_adv are committed only after a successful get(), so a fatal
+    // fault leaves them at the pre-iteration state — exactly what gets
+    // checkpointed.
+    const auto consult = [&](Awaitable& pending,
+                             const std::vector<float>& vals) {
+      const double t_candidate = t_loss_from_list(pending.get(), ctx);
+      if (!(t_candidate < t_current)) return false;
+      t_current = t_candidate;
+      for (std::size_t c = 0; c < coords.size(); ++c) {
+        v_adv.data()[coords[c]] = vals[c];
+        q_adv.data()[coords[c]] = std::round(vals[c]);
+      }
+      return true;
+    };
     bool accepted = false;
     try {
-      if (changed_plus) {
-        const double t_candidate = t_loss_from_list(f_plus->get(), ctx);
-        if (t_candidate < t_current) {
-          t_current = t_candidate;
-          for (std::size_t c = 0; c < coords.size(); ++c) {
-            v_adv.data()[coords[c]] = plus_vals[c];
-            q_adv.data()[coords[c]] = std::round(plus_vals[c]);
-          }
-          accepted = true;
-        }
-      }
-      if (!accepted && changed_minus) {
-        const double t_candidate = t_loss_from_list(f_minus->get(), ctx);
-        if (t_candidate < t_current) {
-          t_current = t_candidate;
-          for (std::size_t c = 0; c < coords.size(); ++c) {
-            v_adv.data()[coords[c]] = minus_vals[c];
-            q_adv.data()[coords[c]] = std::round(minus_vals[c]);
-          }
-          accepted = true;
-        }
-      }
+      accepted = (changed_plus && consult(*f_plus, plus_vals)) ||
+                 (changed_minus && consult(*f_minus, minus_vals));
     } catch (...) {
       if (cc.enabled) {
-        // Note an accepted +ε commit before a fatal −ε get() is impossible:
-        // −ε is only consulted when +ε was rejected (no commit happened).
+        // An accepted +ε commit before a fatal −ε get() is impossible: −ε is
+        // only consulted when +ε was rejected (no commit happened).
         cc.save(kappa, t_current, result.t_history, queries_total(), stall,
                 rng_before, deck_reshuffled ? deck_backup : deck,
                 static_cast<std::int64_t>(deck_pos_before), v_adv.data());
@@ -492,14 +331,58 @@ SparseQueryResult sparse_query_pipelined_impl(const video::Video& v,
   return result;
 }
 
+// A synchronous BlackBoxHandle behind the driver's submit/get interface.
+// submit() only stores the candidate; get() runs victim.retrieve and so
+// bills it. A −ε candidate the acceptance order never consults is never
+// evaluated, so the serial driver queries exactly what one-at-a-time SimBA
+// would, in the same order.
+struct DeferredHandle {
+  struct Pending {
+    retrieval::BlackBoxHandle* victim;
+    video::Video candidate;
+    std::size_t m;
+    metrics::RetrievalList get() { return victim->retrieve(candidate, m); }
+  };
+  retrieval::BlackBoxHandle& victim;
+
+  Pending submit(video::Video candidate, std::size_t m) {
+    return {&victim, std::move(candidate), m};
+  }
+  std::int64_t query_count() const { return victim.query_count(); }
+};
+
+template <typename Handle>
+ObjectiveContext make_objective_context_impl(Handle& victim,
+                                             const video::Video& v,
+                                             const video::Video& v_t,
+                                             std::size_t m, double eta) {
+  ObjectiveContext ctx;
+  ctx.m = m;
+  ctx.eta = eta;
+  auto list_v = victim.submit(v, m);
+  auto list_vt = victim.submit(v_t, m);
+  ctx.list_v = list_v.get();
+  ctx.list_vt = list_vt.get();
+  return ctx;
+}
+
 }  // namespace
+
+SparseQueryResult sparse_query(const video::Video& v,
+                               const Perturbation& perturbation,
+                               retrieval::BlackBoxHandle& victim,
+                               const ObjectiveContext& ctx,
+                               const SparseQueryConfig& config) {
+  DeferredHandle deferred{victim};
+  return sparse_query_impl(v, perturbation, deferred, ctx, config);
+}
 
 SparseQueryResult sparse_query_pipelined(const video::Video& v,
                                          const Perturbation& perturbation,
                                          serve::AsyncBlackBoxHandle& victim,
                                          const ObjectiveContext& ctx,
                                          const SparseQueryConfig& config) {
-  return sparse_query_pipelined_impl(v, perturbation, victim, ctx, config);
+  return sparse_query_impl(v, perturbation, victim, ctx, config);
 }
 
 SparseQueryResult sparse_query_pipelined(const video::Video& v,
@@ -507,35 +390,21 @@ SparseQueryResult sparse_query_pipelined(const video::Video& v,
                                          serve::ResilientHandle& victim,
                                          const ObjectiveContext& ctx,
                                          const SparseQueryConfig& config) {
-  return sparse_query_pipelined_impl(v, perturbation, victim, ctx, config);
+  return sparse_query_impl(v, perturbation, victim, ctx, config);
 }
 
 ObjectiveContext make_objective_context(serve::AsyncBlackBoxHandle& victim,
                                         const video::Video& v,
                                         const video::Video& v_t, std::size_t m,
                                         double eta) {
-  ObjectiveContext ctx;
-  ctx.m = m;
-  ctx.eta = eta;
-  auto list_v = victim.submit(v, m);
-  auto list_vt = victim.submit(v_t, m);
-  ctx.list_v = list_v.get();
-  ctx.list_vt = list_vt.get();
-  return ctx;
+  return make_objective_context_impl(victim, v, v_t, m, eta);
 }
 
 ObjectiveContext make_objective_context(serve::ResilientHandle& victim,
                                         const video::Video& v,
                                         const video::Video& v_t, std::size_t m,
                                         double eta) {
-  ObjectiveContext ctx;
-  ctx.m = m;
-  ctx.eta = eta;
-  auto list_v = victim.submit(v, m);
-  auto list_vt = victim.submit(v_t, m);
-  ctx.list_v = list_v.get();
-  ctx.list_vt = list_vt.get();
-  return ctx;
+  return make_objective_context_impl(victim, v, v_t, m, eta);
 }
 
 }  // namespace duo::attack

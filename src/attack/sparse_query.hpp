@@ -5,6 +5,16 @@
 // direction q from the support without replacement (Eq. 4 zeroes directions
 // outside the support) and tries ±ε steps, keeping whichever decreases the
 // ranking loss T (Eq. 2 / Eq. 3).
+//
+// One driver runs every overload below. Each step builds both the +ε and the
+// −ε candidate from the pre-step video, submits both, and consults +ε first
+// and −ε only if +ε did not improve T. The overloads differ only in what
+// submit means: an async handle starts the victim forward at once, so both
+// candidates are in flight together; the synchronous BlackBoxHandle defers
+// the query until the candidate is consulted, so serial runs evaluate −ε
+// only when +ε was rejected. For the same seed and config all overloads
+// accept the same perturbations, so t_history and the final v_adv are
+// bitwise identical across them; only queries_spent differs.
 
 #include <cstdint>
 #include <string>
@@ -63,29 +73,25 @@ struct SparseQueryResult {
 };
 
 // Runs Algorithm 2 starting from v_adv⁰ = v + φ. `ctx` carries the reference
-// lists R^m(v) and R^m(v_t).
+// lists R^m(v) and R^m(v_t). One query per consulted candidate, in order.
 SparseQueryResult sparse_query(const video::Video& v,
                                const Perturbation& perturbation,
                                retrieval::BlackBoxHandle& victim,
                                const ObjectiveContext& ctx,
                                const SparseQueryConfig& config);
 
-// Opt-in pipelined Algorithm 2 against an asynchronously served victim:
-// each step launches the +ε and −ε candidate forwards concurrently and does
-// its perturbation bookkeeping (candidate construction, commit/revert) while
-// they are in flight, hiding victim latency. Acceptance decisions replay the
-// serial order (+ε first, then −ε), so for the same seed and config the
-// accepted-perturbation sequence — and therefore t_history and the final
-// v_adv — is bitwise identical to sparse_query. Query accounting is honest:
-// a speculative −ε forward counts even when the +ε candidate is accepted and
-// its answer goes unused, so queries_spent is ≥ the serial count.
+// The same loop against an asynchronously served victim: both candidate
+// forwards run concurrently, hiding victim latency. Query accounting is
+// honest: a speculative −ε forward counts even when the +ε candidate is
+// accepted and its answer goes unused, so queries_spent is ≥ the serial
+// count.
 SparseQueryResult sparse_query_pipelined(const video::Video& v,
                                          const Perturbation& perturbation,
                                          serve::AsyncBlackBoxHandle& victim,
                                          const ObjectiveContext& ctx,
                                          const SparseQueryConfig& config);
 
-// Pipelined Algorithm 2 through the retrying client policy
+// The same loop through the retrying client policy
 // (serve/resilient.hpp): transient victim faults are absorbed by retries —
 // against a deterministic victim the answers, and therefore the final video,
 // stay bitwise identical to a fault-free run; only queries_spent (victim-side

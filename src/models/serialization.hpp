@@ -41,11 +41,17 @@ bool read_f64(std::istream& in, double& value);
 
 // Tensor: rank, dims, then the float payload. read_tensor validates the
 // header (rank <= 8, non-negative dims, element count < 2^31) before
-// allocating, so a corrupt file cannot trigger a huge allocation.
+// allocating.
 void write_tensor(std::ostream& out, const Tensor& t);
 bool read_tensor(std::istream& in, Tensor& t);
 
 // Length-prefixed vectors.
+//
+// read_tensor and every read_*_vec check the claimed payload against the
+// bytes left in the stream before allocating, so a corrupt length prefix
+// cannot claim more memory than the stream holds. The check seeks, so they
+// need a seekable stream (a file or string stream); any other stream is
+// rejected.
 void write_i64_vec(std::ostream& out, const std::vector<std::int64_t>& v);
 bool read_i64_vec(std::istream& in, std::vector<std::int64_t>& v);
 void write_f64_vec(std::ostream& out, const std::vector<double>& v);

@@ -136,8 +136,6 @@ class Tensor {
   float norm_linf() const noexcept;
 
   // -- linear algebra --------------------------------------------------------
-  // 2D matmul: (m×k)·(k×n) → (m×n).
-  Tensor matmul(const Tensor& other) const;
   // 2D transpose.
   Tensor transposed() const;
 

@@ -6,8 +6,10 @@
 // full pipeline against a *trained* victim.
 
 #include <memory>
+#include <set>
 #include <vector>
 
+#include "attack/sparse_query.hpp"
 #include "attack/surrogate.hpp"
 #include "models/feature_extractor.hpp"
 #include "nn/losses.hpp"
@@ -82,5 +84,38 @@ struct TinyWorld {
     return w;
   }
 };
+
+// Steps κ of a SparseQuery run whose coordinate group draws one support
+// coordinate twice, i.e. straddles a deck reshuffle. Mirrors the driver's
+// sampler: the support in index order, shuffled with the config seed, and
+// reshuffled whenever it drains. Assumes an explicit coords_per_step and no
+// patience stop. Tests use it to prove that a repeated-coordinate case is
+// not vacuous.
+inline std::vector<int> repeated_coordinate_steps(
+    const attack::Perturbation& p, const attack::SparseQueryConfig& cfg) {
+  const Tensor support = p.pixel_mask() * p.frame_mask();
+  std::vector<std::int64_t> deck;
+  for (std::int64_t i = 0; i < support.size(); ++i) {
+    if (support[i] > 0.5f) deck.push_back(i);
+  }
+  std::vector<int> steps;
+  if (deck.empty()) return steps;
+  Rng rng(cfg.seed);
+  rng.shuffle(deck);
+  std::size_t pos = 0;
+  for (int kappa = 1; kappa < cfg.iter_numQ; ++kappa) {
+    std::set<std::int64_t> seen;
+    bool repeat = false;
+    for (int c = 0; c < cfg.coords_per_step; ++c) {
+      if (pos == deck.size()) {
+        rng.shuffle(deck);
+        pos = 0;
+      }
+      repeat |= !seen.insert(deck[pos++]).second;
+    }
+    if (repeat) steps.push_back(kappa);
+  }
+  return steps;
+}
 
 }  // namespace duo::testing

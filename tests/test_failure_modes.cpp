@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -11,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "attack/checkpoint.hpp"
 #include "attack/duo.hpp"
 #include "attack/evaluation.hpp"
 #include "attack/sparse_query.hpp"
@@ -415,6 +417,72 @@ TEST(FailureModes, CheckpointResumeReproducesUninterruptedRun) {
     EXPECT_GE(resumed.queries_spent, ref.queries_spent);
   }
   std::remove(piped_path.c_str());
+}
+
+// A serial run killed on a step whose coordinate group repeats a coordinate
+// (the group straddles a deck reshuffle) resumes to the uninterrupted
+// trajectory: the fatal-path checkpoint holds the pre-step video, repeated
+// pixel included. Each kill is checked to land on a repeating step, and the
+// same checkpoint also resumes through the pipelined overload.
+TEST(FailureModes, SerialResumeAcrossRepeatedCoordinateStep) {
+  auto& w = TinyWorld::mutable_instance();
+  const auto& v = w.dataset.train[11];
+  const auto& vt = w.dataset.train[24];
+  retrieval::BlackBoxHandle direct(*w.victim);
+  const auto ctx = attack::make_objective_context(direct, v, vt, 8);
+  Rng rng(12);
+  attack::Perturbation pert =
+      baselines::random_support(v.geometry(), 6, 1, rng);
+  pert.magnitude() =
+      Tensor::uniform(v.geometry().tensor_shape(), -10.0f, 10.0f, rng) *
+      pert.pixel_mask() * pert.frame_mask();
+
+  attack::SparseQueryConfig cfg;
+  cfg.iter_numQ = 20;
+  cfg.coords_per_step = 4;
+  cfg.m = 8;
+  const std::vector<int> repeats =
+      duo::testing::repeated_coordinate_steps(pert, cfg);
+  const auto ref = attack::sparse_query(v, pert, direct, ctx, cfg);
+
+  const std::string path = ::testing::TempDir() + "duo_sq_repeat_ck.bin";
+  for (const std::int64_t fatal_at : {9, 15, 33}) {
+    SCOPED_TRACE("fatal_at " + std::to_string(fatal_at));
+    std::remove(path.c_str());
+    attack::SparseQueryConfig ck_cfg = cfg;
+    ck_cfg.checkpoint_path = path;
+    ck_cfg.checkpoint_every = 0;  // only the fatal-path save
+    {
+      serve::FaultConfig faults;
+      faults.fatal_at = fatal_at;
+      serve::FaultySystem faulty(*w.victim, faults);
+      retrieval::BlackBoxHandle handle(faulty.retrieve_fn());
+      EXPECT_THROW((void)attack::sparse_query(v, pert, handle, ctx, ck_cfg),
+                   serve::ServeError);
+    }
+    attack::SparseQueryCheckpoint ck;
+    ASSERT_TRUE(attack::load_checkpoint(ck, path));
+    EXPECT_NE(std::find(repeats.begin(), repeats.end(), ck.next_iteration),
+              repeats.end())
+        << "killed at step " << ck.next_iteration
+        << ", which repeats no coordinate";
+
+    ck_cfg.resume = true;
+    const auto resumed = attack::sparse_query(v, pert, direct, ctx, ck_cfg);
+    EXPECT_EQ(resumed.t_history, ref.t_history);
+    expect_bitwise_equal(resumed.v_adv.data(), ref.v_adv.data(),
+                         "serial resumed v_adv");
+
+    serve::RetrievalServer server(*w.victim);
+    serve::AsyncBlackBoxHandle async(server);
+    const auto piped =
+        attack::sparse_query_pipelined(v, pert, async, ctx, ck_cfg);
+    server.shutdown();
+    EXPECT_EQ(piped.t_history, ref.t_history);
+    expect_bitwise_equal(piped.v_adv.data(), ref.v_adv.data(),
+                         "pipelined resumed v_adv");
+  }
+  std::remove(path.c_str());
 }
 
 // ISSUE acceptance, full pipeline: DuoAttack::run is bitwise stable under

@@ -5,6 +5,8 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "attack/checkpoint.hpp"
 #include "models/feature_extractor.hpp"
@@ -191,6 +193,122 @@ TEST(SerializationIo, CorruptTensorHeadersRejectedBeforeAllocation) {
   }
 }
 
+// Address-space high-water mark of this process in kB, or -1 where
+// /proc/self/status is missing. A reader that allocates for a corrupt length
+// prefix raises it even if it frees the buffer before returning false.
+long peak_vm_kb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmPeak:", 0) == 0) return std::stol(line.substr(7));
+  }
+  return -1;
+}
+
+template <typename T>
+bool same(const std::vector<T>& a, const std::vector<T>& b) {
+  return a == b;
+}
+bool same(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() && a.allclose(b, 0.0f);
+}
+
+// Runs `read` on a stream whose prefix claims `claim` elements but that holds
+// only 8 payload bytes: it must return false without throwing, leave `out`
+// as it was, and allocate nothing near the claimed size.
+template <typename Out, typename Read>
+void expect_rejected_without_allocating(Read read, Out out,
+                                        std::stringstream& buf) {
+  const Out before = out;
+  const long peak_before = peak_vm_kb();
+  bool ok = true;
+  EXPECT_NO_THROW(ok = read(buf, out));
+  EXPECT_FALSE(ok);
+  EXPECT_TRUE(same(out, before)) << "a failed read changed its output";
+  if (peak_before >= 0) {
+    EXPECT_LT(peak_vm_kb() - peak_before, 64 * 1024)
+        << "the reader allocated for the claimed length";
+  }
+}
+
+const std::int64_t kHostileClaims[] = {
+    std::int64_t{1} << 27, std::numeric_limits<std::int32_t>::max()};
+
+// Length prefix plus 8 payload bytes: a claim that fits exactly reads back,
+// one element more or a hostile claim is rejected.
+template <typename T>
+void expect_length_bounded_by_stream(bool (*read)(std::istream&,
+                                                  std::vector<T>&)) {
+  const auto stream_with = [](std::int64_t claim) {
+    std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
+    io::write_i64(buf, claim);
+    io::write_u64(buf, 0x0102030405060708ULL);
+    return buf;
+  };
+  constexpr std::int64_t kFits = 8 / sizeof(T);
+  {
+    auto buf = stream_with(kFits);
+    std::vector<T> v;
+    ASSERT_TRUE(read(buf, v));
+    EXPECT_EQ(static_cast<std::int64_t>(v.size()), kFits);
+  }
+  std::vector<std::int64_t> claims = {kFits + 1};
+  claims.insert(claims.end(), std::begin(kHostileClaims),
+                std::end(kHostileClaims));
+  for (const std::int64_t claim : claims) {
+    SCOPED_TRACE("claimed length " + std::to_string(claim));
+    auto buf = stream_with(claim);
+    expect_rejected_without_allocating(read, std::vector<T>(3, T{7}), buf);
+  }
+}
+
+TEST(SerializationIo, I64VecLengthBoundedByStream) {
+  expect_length_bounded_by_stream(io::read_i64_vec);
+}
+
+TEST(SerializationIo, F64VecLengthBoundedByStream) {
+  expect_length_bounded_by_stream(io::read_f64_vec);
+}
+
+TEST(SerializationIo, F32VecLengthBoundedByStream) {
+  expect_length_bounded_by_stream(io::read_f32_vec);
+}
+
+TEST(SerializationIo, I32VecLengthBoundedByStream) {
+  expect_length_bounded_by_stream(io::read_i32_vec);
+}
+
+TEST(SerializationIo, I8VecLengthBoundedByStream) {
+  expect_length_bounded_by_stream(io::read_i8_vec);
+}
+
+TEST(SerializationIo, TensorPayloadBoundedByStream) {
+  const auto stream_with = [](std::vector<std::int64_t> dims) {
+    std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
+    io::write_i64(buf, static_cast<std::int64_t>(dims.size()));
+    for (const auto d : dims) io::write_i64(buf, d);
+    io::write_u64(buf, 0);  // two floats
+    return buf;
+  };
+  {
+    auto buf = stream_with({2});
+    Tensor t;
+    ASSERT_TRUE(io::read_tensor(buf, t));
+    EXPECT_EQ(t.size(), 2);
+  }
+  std::vector<std::vector<std::int64_t>> headers = {{3}, {1 << 14, 1 << 13}};
+  for (const std::int64_t claim : kHostileClaims) headers.push_back({claim});
+  // A dimension past 2^31 is rejected before the element count can overflow.
+  headers.push_back({2, std::int64_t{1} << 62});
+  for (const auto& dims : headers) {
+    SCOPED_TRACE("rank " + std::to_string(dims.size()) + ", last dim " +
+                 std::to_string(dims.back()));
+    auto buf = stream_with(dims);
+    expect_rejected_without_allocating(io::read_tensor, Tensor({3}, 7.0f),
+                                       buf);
+  }
+}
+
 TEST(SerializationIo, Fnv1aFingerprintsDiscriminate) {
   // Offset basis of 64-bit FNV-1a: hash of zero bytes.
   EXPECT_EQ(io::fnv1a(nullptr, 0), 0xCBF29CE484222325ULL);
@@ -341,6 +459,34 @@ TEST(SerializationIo, DuoCheckpointRoundTrips) {
     EXPECT_EQ(back.pixel_mask[i], ck.pixel_mask[i]);
     EXPECT_EQ(back.frame_mask[i], ck.frame_mask[i]);
   }
+  std::remove(path.c_str());
+}
+
+// A checkpoint whose t_history length prefix claims 2^31 − 1 doubles must
+// load as false, so resume = true falls back to a fresh start instead of
+// dying on the allocation.
+TEST(SerializationIo, CheckpointLengthPrefixBoundedByFile) {
+  const std::string path = ::testing::TempDir() + "duo_test_prefix_ck.bin";
+  ASSERT_TRUE(attack::save_checkpoint(sample_sq_checkpoint(), path));
+  // The prefix follows the magic, the geometry (4 × i64), and the seed,
+  // support size, source hash, next iteration and T (8 bytes each).
+  constexpr std::streamoff kHistoryPrefix = 8 + 4 * 8 + 5 * 8;
+  {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekg(kHistoryPrefix);
+    std::int64_t length = 0;
+    ASSERT_TRUE(io::read_i64(f, length));
+    ASSERT_EQ(length, 3) << "the prefix is not where the test expects it";
+    f.seekp(kHistoryPrefix);
+    io::write_i64(f, std::numeric_limits<std::int32_t>::max());
+    ASSERT_TRUE(f.good());
+  }
+  attack::SparseQueryCheckpoint ck;
+  ck.queries = -55;  // sentinel
+  bool ok = true;
+  EXPECT_NO_THROW(ok = attack::load_checkpoint(ck, path));
+  EXPECT_FALSE(ok);
+  EXPECT_EQ(ck.queries, -55);
   std::remove(path.c_str());
 }
 

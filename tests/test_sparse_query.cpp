@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <limits>
+#include <string>
 
 #include "attack/sparse_query.hpp"
 #include "baselines/vanilla.hpp"
 #include "fixtures.hpp"
+#include "models/serialization.hpp"
 #include "serve/async_handle.hpp"
 #include "serve/server.hpp"
 
@@ -14,9 +19,9 @@ namespace {
 using duo::testing::TinyWorld;
 
 Perturbation small_support(const video::Video& v, std::uint64_t seed,
-                           float theta = 10.0f) {
+                           float theta = 10.0f, std::int64_t k = 150) {
   Rng rng(seed);
-  Perturbation p = baselines::random_support(v.geometry(), 150, 3, rng);
+  Perturbation p = baselines::random_support(v.geometry(), k, 3, rng);
   // Give θ some signal on the support.
   Tensor noise =
       Tensor::uniform(v.geometry().tensor_shape(), -theta, theta, rng);
@@ -190,55 +195,112 @@ TEST(SparseQuery, TrajectoryIsReproducible) {
   EXPECT_EQ(a.queries_spent, b.queries_spent);
 }
 
+// SparseQueryConfig promises that a checkpoint that does not load falls back
+// to a fresh start. A t_history length prefix of 2^31 − 1 must fail the load
+// instead of reaching an allocation.
+TEST(SparseQuery, CorruptCheckpointFallsBackToFreshStart) {
+  auto& w = TinyWorld::mutable_instance();
+  const auto& v = w.dataset.train[10];
+  const auto& vt = w.dataset.train[22];
+  retrieval::BlackBoxHandle handle(*w.victim);
+  const auto ctx = make_objective_context(handle, v, vt, 8);
+  const Perturbation p = small_support(v, 13);
+  SparseQueryConfig cfg;
+  cfg.iter_numQ = 12;
+  cfg.m = 8;
+  const auto fresh = sparse_query(v, p, handle, ctx, cfg);
+
+  const std::string path = ::testing::TempDir() + "duo_sq_corrupt_ck.bin";
+  SparseQueryConfig ck_cfg = cfg;
+  ck_cfg.checkpoint_path = path;
+  ck_cfg.checkpoint_every = 4;
+  (void)sparse_query(v, p, handle, ctx, ck_cfg);  // leaves the κ = 8 save
+  {
+    // The prefix follows the magic, the geometry (4 × i64) and five 8-byte
+    // fields (seed, support size, source hash, next iteration, T).
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(8 + 4 * 8 + 5 * 8);
+    models::io::write_i64(f, std::numeric_limits<std::int32_t>::max());
+    ASSERT_TRUE(f.good());
+  }
+  ck_cfg.resume = true;
+  const std::int64_t before = handle.query_count();
+  SparseQueryResult resumed;
+  ASSERT_NO_THROW(resumed = sparse_query(v, p, handle, ctx, ck_cfg));
+  EXPECT_EQ(resumed.t_history, fresh.t_history);
+  EXPECT_TRUE(resumed.v_adv.data().allclose(fresh.v_adv.data(), 0.0f));
+  // Nothing was carried over: this process billed the whole run.
+  EXPECT_EQ(handle.query_count() - before, fresh.queries_spent);
+  std::remove(path.c_str());
+}
+
 // Pipelined mode drives the victim through the serve layer with both ±ε
-// candidates in flight, but must replay the serial acceptance sequence
-// exactly: same t_history, bitwise-identical final video. Its query count
-// may only exceed the serial one (speculative forwards are counted).
+// candidates in flight, but runs the same loop as the serial overload: same
+// t_history, bitwise-identical final video. Its query count may only exceed
+// the serial one (speculative forwards are counted). The second config
+// draws 24 of 60 coordinates per step, so six steps straddle a deck
+// reshuffle and repeat a coordinate, and its ε ≈ 15 drives some of those
+// pixels into the τ clip: a repeated pixel must move one ε, and a rejected
+// step must leave it exactly where it was.
 TEST(SparseQueryPipelined, MatchesSerialBitwise) {
   auto& w = TinyWorld::mutable_instance();
   const auto& v = w.dataset.train[11];
   const auto& vt = w.dataset.train[24];
-  const Perturbation p = small_support(v, 12);
 
   SparseQueryConfig cfg;
   cfg.iter_numQ = 30;
   cfg.tau = 30.0f;
   cfg.m = 8;
+  SparseQueryConfig repeat_cfg = cfg;
+  repeat_cfg.coords_per_step = 24;
+  const Perturbation repeat_p = small_support(v, 12, 30.0f, 60);
+  ASSERT_FALSE(
+      duo::testing::repeated_coordinate_steps(repeat_p, repeat_cfg).empty());
 
-  // Serial reference first — the server must not own the extractor yet.
-  retrieval::BlackBoxHandle handle(*w.victim);
-  const auto ctx = make_objective_context(handle, v, vt, 8);
-  const auto serial = sparse_query(v, p, handle, ctx, cfg);
+  const struct {
+    const char* name;
+    Perturbation p;
+    SparseQueryConfig cfg;
+  } kCases[] = {{"150-coordinate support", small_support(v, 12), cfg},
+                {"repeated coordinate", repeat_p, repeat_cfg}};
 
-  for (const std::size_t max_batch : {1u, 4u}) {
-    serve::ServerConfig scfg;
-    scfg.max_batch = max_batch;
-    serve::RetrievalServer server(*w.victim, scfg);
-    serve::AsyncBlackBoxHandle async(server);
-    const auto actx = make_objective_context(async, v, vt, 8);
-    EXPECT_EQ(actx.list_v, ctx.list_v);
-    EXPECT_EQ(actx.list_vt, ctx.list_vt);
+  for (const auto& c : kCases) {
+    SCOPED_TRACE(c.name);
+    // Serial reference first — the server must not own the extractor yet.
+    retrieval::BlackBoxHandle handle(*w.victim);
+    const auto ctx = make_objective_context(handle, v, vt, 8);
+    const auto serial = sparse_query(v, c.p, handle, ctx, c.cfg);
 
-    const auto piped = sparse_query_pipelined(v, p, async, actx, cfg);
-    server.shutdown();
+    for (const std::size_t max_batch : {1u, 4u}) {
+      serve::ServerConfig scfg;
+      scfg.max_batch = max_batch;
+      serve::RetrievalServer server(*w.victim, scfg);
+      serve::AsyncBlackBoxHandle async(server);
+      const auto actx = make_objective_context(async, v, vt, 8);
+      EXPECT_EQ(actx.list_v, ctx.list_v);
+      EXPECT_EQ(actx.list_vt, ctx.list_vt);
 
-    ASSERT_EQ(piped.t_history.size(), serial.t_history.size())
-        << "max_batch=" << max_batch;
-    for (std::size_t i = 0; i < serial.t_history.size(); ++i) {
-      EXPECT_EQ(piped.t_history[i], serial.t_history[i])
-          << "max_batch=" << max_batch << " step " << i;
+      const auto piped = sparse_query_pipelined(v, c.p, async, actx, c.cfg);
+      server.shutdown();
+
+      ASSERT_EQ(piped.t_history.size(), serial.t_history.size())
+          << "max_batch=" << max_batch;
+      for (std::size_t i = 0; i < serial.t_history.size(); ++i) {
+        EXPECT_EQ(piped.t_history[i], serial.t_history[i])
+            << "max_batch=" << max_batch << " step " << i;
+      }
+      EXPECT_EQ(piped.final_t, serial.final_t);
+      ASSERT_EQ(piped.v_adv.data().size(), serial.v_adv.data().size());
+      for (std::int64_t i = 0; i < serial.v_adv.data().size(); ++i) {
+        ASSERT_EQ(piped.v_adv.data()[i], serial.v_adv.data()[i])
+            << "max_batch=" << max_batch << " flat index " << i;
+      }
+      // Honest accounting: speculation can only add queries, and the async
+      // handle's count is the ground truth for queries_spent.
+      EXPECT_GE(piped.queries_spent, serial.queries_spent);
+      EXPECT_EQ(piped.queries_spent + 2 /*context fetches*/,
+                async.query_count());
     }
-    EXPECT_EQ(piped.final_t, serial.final_t);
-    ASSERT_EQ(piped.v_adv.data().size(), serial.v_adv.data().size());
-    for (std::int64_t i = 0; i < serial.v_adv.data().size(); ++i) {
-      ASSERT_EQ(piped.v_adv.data()[i], serial.v_adv.data()[i])
-          << "max_batch=" << max_batch << " flat index " << i;
-    }
-    // Honest accounting: speculation can only add queries, and the async
-    // handle's count is the ground truth for queries_spent.
-    EXPECT_GE(piped.queries_spent, serial.queries_spent);
-    EXPECT_EQ(piped.queries_spent + 2 /*context fetches*/,
-              async.query_count());
   }
 }
 
