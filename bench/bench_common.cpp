@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
-#include <thread>
 
 #include "common/logging.hpp"
 #include "common/stopwatch.hpp"
@@ -262,35 +261,7 @@ SoakWorld make_soak_world(bool smoke, std::uint64_t seed) {
   world.system = std::make_unique<retrieval::RetrievalSystem>(
       std::move(extractor), 2);
   world.system->add_all(world.dataset.train);
-  world.expected.reserve(world.dataset.test.size());
-  for (const auto& v : world.dataset.test) {
-    world.expected.push_back(world.system->retrieve(v, world.m));
-  }
   return world;
-}
-
-std::int64_t run_soak_clients(
-    const SoakWorld& world, std::size_t clients, int queries_per_client,
-    const std::function<metrics::RetrievalList(
-        std::size_t, const video::Video&, std::size_t)>& retrieve) {
-  std::vector<std::thread> threads;
-  std::vector<std::int64_t> mismatches(clients, 0);
-  threads.reserve(clients);
-  for (std::size_t t = 0; t < clients; ++t) {
-    threads.emplace_back([&, t] {
-      for (int q = 0; q < queries_per_client; ++q) {
-        const std::size_t vi =
-            (t + static_cast<std::size_t>(q) * clients) %
-            world.dataset.test.size();
-        const auto got = retrieve(t, world.dataset.test[vi], world.m);
-        if (got != world.expected[vi]) ++mismatches[t];
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  std::int64_t bad = 0;
-  for (const auto c : mismatches) bad += c;
-  return bad;
 }
 
 }  // namespace duo::bench

@@ -11,7 +11,6 @@
 // raw values and the paper-equivalent normalization where relevant.
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -107,29 +106,15 @@ attack::DuoConfig make_duo_config(const BenchParams& params,
 void append_attack_cells(TableWriter& table, std::vector<TableWriter::Cell>& row,
                          const attack::AttackEvaluation& eval);
 
-// An untrained served-victim world for the serve-layer soaks (fault_soak,
-// overload_soak). Fault handling and overload policy depend on the serving
-// path, not on feature quality, so no victim training is needed; `expected`
-// holds the fault-free reference answer per test video, the bitwise target
-// every soaked answer must hit.
+// An untrained served-victim world for campaign_soak. Fault, overload and
+// crash handling depend on the serving path, not on feature quality, so no
+// victim training is needed.
 struct SoakWorld {
   video::Dataset dataset;
   std::unique_ptr<retrieval::RetrievalSystem> system;
-  std::vector<metrics::RetrievalList> expected;
-  std::size_t m = 10;
 };
 
 SoakWorld make_soak_world(bool smoke, std::uint64_t seed);
-
-// Hammers `retrieve` from `clients` concurrent threads, each issuing
-// `queries_per_client` retrievals over a deterministic round-robin of the
-// test videos, and compares every answer bitwise against world.expected.
-// `retrieve(client, v, m)` runs on the client's thread. Returns the number
-// of mismatched answers (0 = the determinism contract held).
-std::int64_t run_soak_clients(
-    const SoakWorld& world, std::size_t clients, int queries_per_client,
-    const std::function<metrics::RetrievalList(
-        std::size_t, const video::Video&, std::size_t)>& retrieve);
 
 // Emit the table and mirror it to CSV under bench_results/.
 void emit(TableWriter& table, const std::string& csv_name);

@@ -1,81 +1,54 @@
-// Campaign soak: the full multi-tenant campaign loop — N sparse attack
-// sessions and M benign query streams against one served victim, under
-// per-client rate limiting, a shared client-side pacer, and injected
-// transient faults — run three ways:
+// Campaign soak: runs every committed manifest under bench/soaks/<scale>/
+// through CampaignRunner and applies the checks the manifest's own keys
+// call for:
 //
-//   1. reference:  the uninterrupted campaign;
-//   2. killed:     the same campaign with the victim dying mid-run
-//                  (fault_error_from), every session checkpointing;
-//   3. resumed:    the same manifest again, healthy, resuming from the
-//                  checkpoints.
+//   every run           the billing ledger reconciles: client-side billed ==
+//                       served + faulted + expired + shed, globally and per
+//                       client;
+//   a completed run     bills at least one query per logical query, and its
+//                       per-session outcomes (answer-stream hashes, attack
+//                       video hashes and T trajectories) are bitwise equal
+//                       to a reference run of the same manifest on a healthy
+//                       victim (faults, kill and crashes cleared);
+//   fault_error_from    the victim dies mid-run, so the run must end
+//                       incomplete; rerunning the manifest with the kill
+//                       cleared must resume every session from its
+//                       checkpoint to the reference outcomes;
+//   crash_at_ms         the run survives exactly the listed crash/restart
+//                       cycles (epoch = cycles + 1), replays at least every
+//                       request a crash lost, and leaves the durable
+//                       server.snap and gallery.idx in checkpoint_dir;
+//   pacer_aimd 1        the run bills no more than the same manifest with a
+//                       static pacer.
 //
-// The resumed campaign must land bitwise on the reference per-session
-// outcomes (answer-stream hashes for benign sessions, adversarial-video
-// hashes and T trajectories for attacks), and every run's billing ledger
-// must reconcile: client-side billed == served + faulted + expired + shed,
-// globally and per client.
+// Committed scenarios: fault (resilient readers vs 10% mixed faults),
+// overload (paced readers vs rate limits, shedding, deadlines and faults),
+// campaign (attack + benign sessions killed mid-run and resumed) and crash
+// (the same mix across two victim crash/restart cycles). Each runs against
+// an untrained C3D victim over a small synthetic gallery seeded by the
+// manifest's `seed`: fault, overload and crash handling depend on the
+// serving path, not on feature quality.
 //
-//   ./build/bench/campaign_soak            # quick scale
-//   ./build/bench/campaign_soak --smoke    # seconds-long CI smoke pass
+//   ./build/bench/campaign_soak            # quick scale: bench/soaks/quick
+//   ./build/bench/campaign_soak --smoke    # CI smoke pass: bench/soaks/smoke
 //
-// Exits nonzero on any outcome mismatch or accounting violation.
+// Exits nonzero on any failed check.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "bench_common.hpp"
-#include "campaign/report.hpp"
 #include "campaign/runner.hpp"
 #include "common/stopwatch.hpp"
 
 using namespace duo;
+namespace fs = std::filesystem;
 
 namespace {
-
-campaign::CampaignManifest make_manifest(bool smoke) {
-  campaign::CampaignManifest m;
-  m.name = smoke ? "campaign-soak-smoke" : "campaign-soak";
-  m.seed = 59;
-  m.client_rate = 500.0;
-  m.client_burst = 2.0;
-  m.fault_error_prob = 0.05;
-  m.fault_seed = 23;
-  m.pacer_rate = 4000.0;
-  m.pacer_burst = 4.0;
-  m.max_attempts = 8;
-  m.circuit_threshold = 0;  // kills are detected by retry exhaustion
-  m.query_timeout_ms = 5000.0;
-  m.submit_deadline_ms = 5000.0;
-
-  const int attackers = smoke ? 2 : 4;
-  const int readers = smoke ? 4 : 8;
-  for (int i = 0; i < attackers; ++i) {
-    campaign::SessionSpec s;
-    s.client_id = "attacker-" + std::to_string(i);
-    s.role = campaign::SessionRole::kSparse;
-    s.seed = 100 + static_cast<std::uint64_t>(i);
-    s.m = 8;
-    s.iterations = smoke ? 6 : 20;
-    s.support_k = 60;
-    s.support_n = 3;
-    s.source_index = i;
-    s.target_index = i + attackers;
-    m.sessions.push_back(s);
-  }
-  for (int i = 0; i < readers; ++i) {
-    campaign::SessionSpec s;
-    s.client_id = "reader-" + std::to_string(i);
-    s.role = campaign::SessionRole::kBenign;
-    s.seed = 200 + static_cast<std::uint64_t>(i);
-    s.m = 8;
-    s.queries = smoke ? 12 : 40;
-    s.think_ms = i % 2 == 0 ? 2.0 : 0.0;
-    m.sessions.push_back(s);
-  }
-  return m;
-}
 
 bool same_outcomes(const campaign::CampaignOutcome& a,
                    const campaign::CampaignOutcome& b) {
@@ -93,6 +66,114 @@ bool same_outcomes(const campaign::CampaignOutcome& a,
   return true;
 }
 
+std::int64_t logical_queries(const campaign::CampaignOutcome& out) {
+  std::int64_t total = 0;
+  for (const auto& s : out.sessions) total += s.logical_queries;
+  return total;
+}
+
+// Runs one manifest and every run its keys call for, adding a row per run
+// to `table`. Returns false if any check failed.
+bool soak(const campaign::CampaignManifest& m, bool smoke, TableWriter& table) {
+  bench::SoakWorld world = bench::make_soak_world(smoke, m.seed);
+  bool ok = true;
+  const auto expect = [&](bool cond, const std::string& what) {
+    if (!cond) {
+      std::fprintf(stderr, "CAMPAIGN SOAK FAILED (%s): %s\n", m.name.c_str(),
+                   what.c_str());
+      ok = false;
+    }
+  };
+  const auto run = [&](const campaign::CampaignManifest& spec,
+                       const std::string& label) {
+    Stopwatch wall;
+    campaign::CampaignOutcome out =
+        campaign::CampaignRunner(*world.system, world.dataset.test, spec).run();
+    const serve::ServerStats& sv = out.server;
+    table.add_row({m.name, label,
+                   std::string(out.all_completed() ? "yes" : "no"),
+                   static_cast<long long>(logical_queries(out)),
+                   static_cast<long long>(out.client_billed),
+                   static_cast<long long>(sv.faults_injected),
+                   static_cast<long long>(sv.requests_throttled),
+                   static_cast<long long>(sv.requests_shed),
+                   static_cast<long long>(sv.requests_expired),
+                   static_cast<long long>(out.requests_lost),
+                   static_cast<long long>(out.queries_replayed),
+                   static_cast<long long>(sv.server_epoch),
+                   out.pacer_final_rate, wall.elapsed_ms()});
+    expect(out.ledger_ok,
+           label + ": ledger mismatch (client " +
+               std::to_string(out.client_billed) + " vs server " +
+               std::to_string(out.server_billed) + ")");
+    return out;
+  };
+
+  campaign::CampaignManifest healthy = m;
+  healthy.fault_error_prob = 0.0;
+  healthy.fault_delay_prob = 0.0;
+  healthy.fault_drop_prob = 0.0;
+  healthy.fault_error_from = -1;
+  healthy.crashes.clear();
+  healthy.checkpoint_dir.clear();
+  const campaign::CampaignOutcome reference = run(healthy, "reference");
+  const auto expect_reference = [&](const campaign::CampaignOutcome& out,
+                                    const std::string& label) {
+    expect(out.all_completed(), label + ": a session did not complete");
+    expect(out.client_billed >= logical_queries(out),
+           label + ": billed fewer queries than logical");
+    expect(same_outcomes(reference, out),
+           label + ": outcomes diverge from the healthy reference");
+  };
+  expect_reference(reference, "reference");
+
+  const auto clear_checkpoints = [&] {
+    if (!m.checkpoint_dir.empty()) fs::remove_all(m.checkpoint_dir);
+  };
+  clear_checkpoints();
+  const campaign::CampaignOutcome soaked = run(m, "soak");
+  if (m.fault_error_from >= 0) {
+    expect(!soaked.all_completed(),
+           "the killed run finished unscathed (fault_error_from too high?)");
+    campaign::CampaignManifest resume = m;
+    resume.fault_error_from = -1;
+    const campaign::CampaignOutcome resumed = run(resume, "resumed");
+    expect(same_outcomes(reference, resumed),
+           "resumed outcomes diverge from the healthy reference");
+  } else {
+    expect_reference(soaked, "soak");
+  }
+
+  if (!m.crashes.empty()) {
+    const auto cycles = static_cast<std::int64_t>(m.crashes.size());
+    expect(soaked.crashes_survived == cycles,
+           std::to_string(soaked.crashes_survived) + " crash/restart cycles, " +
+               std::to_string(cycles) + " scheduled");
+    expect(soaked.server.server_epoch == cycles + 1,
+           "epoch " + std::to_string(soaked.server.server_epoch) + " after " +
+               std::to_string(cycles) + " restarts");
+    expect(soaked.queries_replayed >= soaked.requests_lost,
+           std::to_string(soaked.requests_lost) + " requests lost but " +
+               std::to_string(soaked.queries_replayed) + " replayed");
+    expect(fs::exists(m.checkpoint_dir + "/server.snap") &&
+               fs::exists(m.checkpoint_dir + "/gallery.idx"),
+           "durable server.snap / gallery.idx missing from checkpoint_dir");
+  }
+
+  if (m.pacer_aimd) {
+    campaign::CampaignManifest fixed = m;
+    fixed.pacer_aimd = false;
+    clear_checkpoints();
+    const campaign::CampaignOutcome fixed_run = run(fixed, "static");
+    expect_reference(fixed_run, "static");
+    expect(soaked.client_billed <= fixed_run.client_billed,
+           "AIMD billed " + std::to_string(soaked.client_billed) +
+               " > static " + std::to_string(fixed_run.client_billed));
+  }
+  clear_checkpoints();
+  return ok;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -101,78 +182,47 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
   }
 
-  bench::SoakWorld world = bench::make_soak_world(smoke, 59);
-  const std::vector<video::Video>& roster = world.dataset.test;
-  const campaign::CampaignManifest healthy = make_manifest(smoke);
+  const fs::path dir =
+      fs::path(DUO_SOAK_MANIFEST_DIR) / (smoke ? "smoke" : "quick");
+  std::vector<fs::path> files;
+  std::error_code ec;
+  for (const auto& entry : fs::directory_iterator(dir, ec)) {
+    if (entry.is_regular_file()) files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  if (files.empty()) {
+    std::fprintf(stderr, "CAMPAIGN SOAK FAILED: no manifests in %s\n",
+                 dir.c_str());
+    return 1;
+  }
 
+  TableWriter table(std::string("Campaign soak: committed manifests (") +
+                    (smoke ? "smoke" : "quick") + ")");
+  table.set_header({"manifest", "run", "done", "logical", "billed", "faulted",
+                    "throttled", "shed", "expired", "lost", "replayed",
+                    "epoch", "pacer_rate", "wall_ms"});
+  table.set_precision(1);
   Stopwatch wall;
-  campaign::CampaignOutcome reference =
-      campaign::CampaignRunner(*world.system, roster, healthy).run();
-
-  const std::string ck_dir = "bench_results/campaign_soak_ck";
-  std::filesystem::remove_all(ck_dir);
-  campaign::CampaignManifest dying = healthy;
-  dying.checkpoint_dir = ck_dir;
-  dying.fault_error_from = smoke ? 25 : 150;
-  campaign::CampaignOutcome killed =
-      campaign::CampaignRunner(*world.system, roster, dying).run();
-
-  campaign::CampaignManifest resuming = dying;
-  resuming.fault_error_from = -1;
-  campaign::CampaignOutcome resumed =
-      campaign::CampaignRunner(*world.system, roster, resuming).run();
-  const double wall_ms = wall.elapsed_ms();
-  std::filesystem::remove_all(ck_dir);
-
-  TableWriter sessions = campaign::session_table(resumed);
-  bench::emit(sessions, "campaign_soak_sessions.csv");
-  TableWriter fairness = campaign::fairness_table(resumed);
-  bench::emit(fairness, "campaign_soak_fairness.csv");
-  std::printf(
-      "reference billed=%lld  killed billed=%lld (completed %s)  resumed "
-      "billed=%lld  jain_served=%.3f  wall_ms=%.0f\n",
-      static_cast<long long>(reference.server_billed),
-      static_cast<long long>(killed.server_billed),
-      killed.all_completed() ? "yes" : "no",
-      static_cast<long long>(resumed.server_billed),
-      resumed.fairness.jain_served, wall_ms);
-  bench::print_paper_note(
-      "No paper counterpart: soaks the campaign driver — concurrent attack "
-      "sessions and benign streams against one victim. A campaign killed "
-      "mid-run and resumed must reproduce the uninterrupted campaign's "
-      "per-session outcomes bitwise, and every run's billing ledger must "
-      "reconcile globally and per client.");
-
   bool ok = true;
-  if (!reference.all_completed()) {
-    std::fprintf(stderr, "CAMPAIGN SOAK FAILED: reference did not complete\n");
-    ok = false;
-  }
-  if (killed.all_completed()) {
-    std::fprintf(stderr,
-                 "CAMPAIGN SOAK FAILED: kill run finished unscathed "
-                 "(fault_error_from too high?)\n");
-    ok = false;
-  }
-  if (!resumed.all_completed()) {
-    std::fprintf(stderr, "CAMPAIGN SOAK FAILED: resumed run incomplete\n");
-    ok = false;
-  }
-  for (const auto* run : {&reference, &killed, &resumed}) {
-    if (!run->ledger_ok) {
-      std::fprintf(stderr,
-                   "CAMPAIGN SOAK FAILED: ledger mismatch (client %lld vs "
-                   "server %lld)\n",
-                   static_cast<long long>(run->client_billed),
-                   static_cast<long long>(run->server_billed));
+  for (const auto& file : files) {
+    campaign::CampaignManifest m;
+    if (!campaign::load_manifest(m, file.string())) {
+      std::fprintf(stderr, "CAMPAIGN SOAK FAILED: cannot load %s\n",
+                   file.c_str());
       ok = false;
+      continue;
     }
+    ok = soak(m, smoke, table) && ok;
   }
-  if (!same_outcomes(reference, resumed)) {
-    std::fprintf(stderr,
-                 "CAMPAIGN SOAK FAILED: resumed outcomes diverge from the "
-                 "uninterrupted reference\n");
-    ok = false;
-  }
+
+  bench::emit(table, "campaign_soak.csv");
+  bench::print_paper_note(
+      "No paper counterpart: soaks the serve and campaign stack a "
+      "query-budgeted attacker runs against (faults, overload pushback, a "
+      "victim killed mid-run, crash/restart cycles). Every completed run "
+      "must reproduce the healthy victim's per-session outcomes bitwise, "
+      "and every run's billing ledger must reconcile.");
+  std::printf("campaign soak %s: %zu manifests in %.1f s\n",
+              ok ? "OK" : "FAILED", files.size(), wall.elapsed_seconds());
   return ok ? 0 : 1;
 }

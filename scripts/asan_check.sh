@@ -11,7 +11,7 @@
 # and pipelined candidates are the attack-side lifetimes. This script
 # configures a dedicated build tree with -DDUO_SANITIZE=address and runs the
 # GEMM, serve, SparseQuery, failure-mode, serialization, campaign, and
-# crash-recovery suites plus the crash soak under ASan.
+# crash-recovery suites plus campaign_soak's smoke pass under ASan.
 #
 # Usage: scripts/asan_check.sh [build-dir]   (default: build-asan)
 set -euo pipefail
@@ -34,9 +34,10 @@ ctest --test-dir "$build_dir" \
   -R 'Gemm|Serve|SparseQuery|FailureModes|Serialization|Campaign|CrashRecovery' \
   --output-on-failure --timeout 1800
 
-# The crash soak drives the whole surface end to end: a multi-tenant
-# campaign whose victim crashes and restarts mid-run from durable files,
-# with every client reconnecting and replaying. Use-after-free on any of
-# those paths surfaces here.
-cmake --build "$build_dir" -j "$(nproc)" --target crash_soak
-DUO_THREADS=8 "$build_dir/bench/crash_soak" --smoke
+# campaign_soak drives the whole surface end to end: its crash manifest is
+# a multi-tenant campaign whose victim crashes and restarts mid-run from
+# durable files, with every client reconnecting and replaying, and its
+# campaign manifest resumes killed sessions from checkpoints. Use-after-free
+# on any of those paths surfaces here.
+cmake --build "$build_dir" -j "$(nproc)" --target campaign_soak
+DUO_THREADS=8 "$build_dir/bench/campaign_soak" --smoke

@@ -37,32 +37,17 @@ DUO_CONV3D_KERNEL=direct ctest --test-dir "$build_dir" \
 # percentiles (seconds-long at --smoke scale).
 DUO_THREADS=8 "$build_dir/bench/serve_throughput" --smoke
 
-# Fault-tolerance smoke: resilient clients against a 10% mixed-fault victim;
-# fails if any answer diverges from the fault-free retrieval or the billing
-# undercounts (seconds-long at --smoke scale).
-DUO_THREADS=8 "$build_dir/bench/fault_soak" --smoke
-
-# Overload smoke: paced clients against a throttling, load-shedding,
-# deadline-enforcing, fault-injecting victim; fails on any mismatched answer
-# or if the billing ledger stops reconciling (billed == served + faulted +
-# expired + shed). --aimd additionally runs the adaptive pacer against a
-# fresh identical server and fails if it bills more than the static one.
-DUO_THREADS=8 "$build_dir/bench/overload_soak" --smoke --aimd
-
 # Gallery-scale smoke: flat exact scan vs sharded IVF + quantized re-rank;
 # fails if nprobe=all-cells diverges from the exact index or IVF results
 # differ across shard counts (the determinism/identity contracts).
 DUO_THREADS=8 "$build_dir/bench/gallery_scale" --smoke
 
-# Campaign smoke: concurrent attack sessions + benign streams against one
-# victim, killed mid-run and resumed; fails if the resumed campaign's
-# per-session outcomes diverge bitwise from the uninterrupted reference or
-# any run's billing ledger stops reconciling (globally or per client).
+# Soak smoke: campaign_soak runs every committed manifest under
+# bench/soaks/smoke — resilient clients vs a 10% mixed-fault victim, paced
+# clients vs a throttling, shedding, deadline-enforcing victim (AIMD vs a
+# static pacer), a campaign killed mid-run and resumed, and a campaign whose
+# victim crashes and restarts from durable files. It fails if any completed
+# run's per-session outcomes diverge bitwise from the healthy victim's, any
+# billing ledger stops reconciling (globally or per client), or a manifest's
+# own checks (kill, crash cycles, AIMD billing) do not hold.
 DUO_THREADS=8 "$build_dir/bench/campaign_soak" --smoke
-
-# Crash smoke: the same multi-tenant campaign with the victim abruptly
-# crashing and restarting mid-run (accounting snapshot + gallery index
-# round-tripped through durable files); fails if any per-session outcome
-# diverges bitwise from the crash-free reference, the ledger stops
-# reconciling across the restarts, or the durable files go missing.
-DUO_THREADS=8 "$build_dir/bench/crash_soak" --smoke

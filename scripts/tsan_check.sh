@@ -35,22 +35,10 @@ ctest --test-dir "$build_dir" \
   -R 'ThreadPool|ParallelDeterminism|Gemm|Conv3d|Pooling|Extractor|Gallery|Serve|SparseQueryPipelined|FaultInjection|Resilient|Admission|Pacer|Aimd|Circuit|CheckGrad|Ivf|RetrievalIndex|Campaign|CrashRecovery' \
   --output-on-failure --timeout 1800
 
-# The overload soak stresses the admission controller, rate limiter, pacer,
-# and expiry shedding from concurrent client threads — the exact surfaces a
-# race would corrupt — so run its smoke pass under TSan too. --aimd adds the
-# adaptive pacer's feedback path (on_success/on_overload from every client
-# thread into the shared bucket) to the surfaces under test.
-cmake --build "$build_dir" -j "$(nproc)" --target overload_soak
-DUO_THREADS=8 "$build_dir/bench/overload_soak" --smoke --aimd
-
-# The campaign soak adds per-client accounting and checkpointing sessions on
-# top of the same concurrent serving surfaces; its kill/resume smoke pass
-# runs under TSan for the same reason.
+# The soak manifests drive the admission controller, rate limiter, AIMD
+# pacer feedback, expiry shedding, per-client accounting, checkpointing
+# sessions, and the chaos thread's crash/snapshot/restart against every
+# serving surface from concurrent client threads — the exact surfaces a
+# race would corrupt — so campaign_soak's smoke pass runs under TSan too.
 cmake --build "$build_dir" -j "$(nproc)" --target campaign_soak
 DUO_THREADS=8 "$build_dir/bench/campaign_soak" --smoke
-
-# The crash soak adds abrupt server crashes, snapshot/restart, and client
-# reconnects — the chaos thread races every serving surface by design — so
-# its smoke pass runs under TSan as well.
-cmake --build "$build_dir" -j "$(nproc)" --target crash_soak
-DUO_THREADS=8 "$build_dir/bench/crash_soak" --smoke

@@ -1,11 +1,14 @@
 #include "campaign/manifest.hpp"
 
-#include <cinttypes>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <system_error>
+#include <type_traits>
 
 #include "models/serialization.hpp"
 
@@ -46,32 +49,25 @@ bool admission_from_name(const std::string& name, serve::AdmissionPolicy& p) {
   return true;
 }
 
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-  std::uint64_t v = 0;
-  return std::sscanf(s.c_str(), "%" SCNu64, &v) == 1 && (out = v, true);
-}
-
-bool parse_i64(const std::string& s, std::int64_t& out) {
-  std::int64_t v = 0;
-  return std::sscanf(s.c_str(), "%" SCNd64, &v) == 1 && (out = v, true);
-}
-
-bool parse_f64(const std::string& s, double& out) {
-  double v = 0.0;
-  return std::sscanf(s.c_str(), "%lg", &v) == 1 && (out = v, true);
-}
-
-bool parse_int(const std::string& s, int& out) {
-  std::int64_t v = 0;
-  if (!parse_i64(s, v)) return false;
-  out = static_cast<int>(v);
+// Whole-token, range-checked numbers: trailing characters, values outside
+// the field's type, and non-finite reals all fail (std::from_chars takes no
+// leading whitespace or '+', and no '-' for unsigned fields).
+template <typename T>
+bool parse_number(const std::string& s, T& out) {
+  T v{};
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc() || ptr != end) return false;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(v)) return false;
+  }
+  out = v;
   return true;
 }
 
-bool parse_size(const std::string& s, std::size_t& out) {
-  std::int64_t v = 0;
-  if (!parse_i64(s, v) || v < 0) return false;
-  out = static_cast<std::size_t>(v);
+bool parse_flag(const std::string& s, bool& out) {
+  if (s != "0" && s != "1") return false;
+  out = s == "1";
   return true;
 }
 
@@ -79,54 +75,45 @@ bool parse_size(const std::string& s, std::size_t& out) {
 bool apply_global(CampaignManifest& m, const std::string& key,
                   const std::string& value) {
   if (key == "campaign") return (m.name = value, true);
-  if (key == "seed") return parse_u64(value, m.seed);
-  if (key == "virtual_clock") {
-    std::int64_t v = 0;
-    if (!parse_i64(value, v)) return false;
-    m.virtual_clock = v != 0;
-    return true;
-  }
-  if (key == "max_batch") return parse_size(value, m.max_batch);
-  if (key == "queue_capacity") return parse_size(value, m.queue_capacity);
+  if (key == "seed") return parse_number(value, m.seed);
+  if (key == "virtual_clock") return parse_flag(value, m.virtual_clock);
+  if (key == "max_batch") return parse_number(value, m.max_batch);
+  if (key == "queue_capacity") return parse_number(value, m.queue_capacity);
   if (key == "admission") return admission_from_name(value, m.admission);
   if (key == "admission_threshold")
-    return parse_f64(value, m.admission_threshold);
+    return parse_number(value, m.admission_threshold);
   if (key == "reject_retry_after_ms")
-    return parse_f64(value, m.reject_retry_after_ms);
-  if (key == "client_rate") return parse_f64(value, m.client_rate);
-  if (key == "client_burst") return parse_f64(value, m.client_burst);
-  if (key == "batch_timeout_ms") return parse_f64(value, m.batch_timeout_ms);
-  if (key == "degrade_high") return parse_f64(value, m.degrade_high);
-  if (key == "degrade_low") return parse_f64(value, m.degrade_low);
-  if (key == "fault_error_prob") return parse_f64(value, m.fault_error_prob);
-  if (key == "fault_delay_prob") return parse_f64(value, m.fault_delay_prob);
-  if (key == "fault_drop_prob") return parse_f64(value, m.fault_drop_prob);
-  if (key == "fault_delay_ms") return parse_f64(value, m.fault_delay_ms);
-  if (key == "fault_error_from") return parse_i64(value, m.fault_error_from);
-  if (key == "fault_seed") return parse_u64(value, m.fault_seed);
-  if (key == "pacer_rate") return parse_f64(value, m.pacer_rate);
-  if (key == "pacer_burst") return parse_f64(value, m.pacer_burst);
-  if (key == "pacer_aimd") {
-    std::int64_t v = 0;
-    if (!parse_i64(value, v)) return false;
-    m.pacer_aimd = v != 0;
-    return true;
-  }
-  if (key == "aimd_increase") return parse_f64(value, m.aimd_increase);
-  if (key == "aimd_decrease") return parse_f64(value, m.aimd_decrease);
-  if (key == "aimd_floor") return parse_f64(value, m.aimd_floor);
-  if (key == "aimd_ceiling") return parse_f64(value, m.aimd_ceiling);
-  if (key == "max_attempts") return parse_int(value, m.max_attempts);
-  if (key == "query_timeout_ms") return parse_f64(value, m.query_timeout_ms);
+    return parse_number(value, m.reject_retry_after_ms);
+  if (key == "client_rate") return parse_number(value, m.client_rate);
+  if (key == "client_burst") return parse_number(value, m.client_burst);
+  if (key == "batch_timeout_ms") return parse_number(value, m.batch_timeout_ms);
+  if (key == "degrade_high") return parse_number(value, m.degrade_high);
+  if (key == "degrade_low") return parse_number(value, m.degrade_low);
+  if (key == "fault_error_prob") return parse_number(value, m.fault_error_prob);
+  if (key == "fault_delay_prob") return parse_number(value, m.fault_delay_prob);
+  if (key == "fault_drop_prob") return parse_number(value, m.fault_drop_prob);
+  if (key == "fault_delay_ms") return parse_number(value, m.fault_delay_ms);
+  if (key == "fault_error_from") return parse_number(value, m.fault_error_from);
+  if (key == "fault_seed") return parse_number(value, m.fault_seed);
+  if (key == "pacer_rate") return parse_number(value, m.pacer_rate);
+  if (key == "pacer_burst") return parse_number(value, m.pacer_burst);
+  if (key == "pacer_aimd") return parse_flag(value, m.pacer_aimd);
+  if (key == "aimd_increase") return parse_number(value, m.aimd_increase);
+  if (key == "aimd_decrease") return parse_number(value, m.aimd_decrease);
+  if (key == "aimd_floor") return parse_number(value, m.aimd_floor);
+  if (key == "aimd_ceiling") return parse_number(value, m.aimd_ceiling);
+  if (key == "max_attempts") return parse_number(value, m.max_attempts);
+  if (key == "query_timeout_ms") return parse_number(value, m.query_timeout_ms);
   if (key == "submit_deadline_ms")
-    return parse_f64(value, m.submit_deadline_ms);
-  if (key == "circuit_threshold") return parse_int(value, m.circuit_threshold);
+    return parse_number(value, m.submit_deadline_ms);
+  if (key == "circuit_threshold")
+    return parse_number(value, m.circuit_threshold);
   if (key == "circuit_cooldown_ms")
-    return parse_f64(value, m.circuit_cooldown_ms);
+    return parse_number(value, m.circuit_cooldown_ms);
   if (key == "checkpoint_dir") return (m.checkpoint_dir = value, true);
   if (key == "crash_at_ms") {
     double v = 0.0;
-    if (!parse_f64(value, v) || v <= 0.0) return false;
+    if (!parse_number(value, v) || v <= 0.0) return false;
     // Strictly increasing, so the runner can execute the schedule as a
     // single forward sweep of the campaign clock.
     if (!m.crashes.empty() && v <= m.crashes.back().at_ms) return false;
@@ -139,7 +126,7 @@ bool apply_global(CampaignManifest& m, const std::string& key,
     // Tunes the most recent crash_at_ms event; meaningless before one.
     if (m.crashes.empty()) return false;
     double v = 0.0;
-    if (!parse_f64(value, v) || v <= 0.0) return false;
+    if (!parse_number(value, v) || v <= 0.0) return false;
     m.crashes.back().restart_after_ms = v;
     return true;
   }
@@ -149,17 +136,17 @@ bool apply_global(CampaignManifest& m, const std::string& key,
 bool apply_session(SessionSpec& s, const std::string& key,
                    const std::string& value) {
   if (key == "role") return role_from_name(value, s.role);
-  if (key == "seed") return parse_u64(value, s.seed);
-  if (key == "m") return parse_size(value, s.m);
-  if (key == "ttl_ms") return parse_f64(value, s.ttl_ms);
-  if (key == "think_ms") return parse_f64(value, s.think_ms);
-  if (key == "queries") return parse_int(value, s.queries);
-  if (key == "iterations") return parse_int(value, s.iterations);
-  if (key == "rounds") return parse_int(value, s.rounds);
-  if (key == "support_k") return parse_i64(value, s.support_k);
-  if (key == "support_n") return parse_i64(value, s.support_n);
-  if (key == "source_index") return parse_i64(value, s.source_index);
-  if (key == "target_index") return parse_i64(value, s.target_index);
+  if (key == "seed") return parse_number(value, s.seed);
+  if (key == "m") return parse_number(value, s.m);
+  if (key == "ttl_ms") return parse_number(value, s.ttl_ms);
+  if (key == "think_ms") return parse_number(value, s.think_ms);
+  if (key == "queries") return parse_number(value, s.queries);
+  if (key == "iterations") return parse_number(value, s.iterations);
+  if (key == "rounds") return parse_number(value, s.rounds);
+  if (key == "support_k") return parse_number(value, s.support_k);
+  if (key == "support_n") return parse_number(value, s.support_n);
+  if (key == "source_index") return parse_number(value, s.source_index);
+  if (key == "target_index") return parse_number(value, s.target_index);
   if (key == "checkpoint") return (s.checkpoint = value, true);
   return false;
 }
@@ -189,43 +176,6 @@ bool role_from_name(const std::string& name, SessionRole& role) {
     return false;
   }
   return true;
-}
-
-bool operator==(const SessionSpec& a, const SessionSpec& b) {
-  return a.client_id == b.client_id && a.role == b.role && a.seed == b.seed &&
-         a.m == b.m && a.ttl_ms == b.ttl_ms && a.think_ms == b.think_ms &&
-         a.queries == b.queries && a.iterations == b.iterations &&
-         a.rounds == b.rounds && a.support_k == b.support_k &&
-         a.support_n == b.support_n && a.source_index == b.source_index &&
-         a.target_index == b.target_index && a.checkpoint == b.checkpoint;
-}
-
-bool operator==(const CampaignManifest& a, const CampaignManifest& b) {
-  return a.name == b.name && a.seed == b.seed &&
-         a.virtual_clock == b.virtual_clock && a.max_batch == b.max_batch &&
-         a.queue_capacity == b.queue_capacity && a.admission == b.admission &&
-         a.admission_threshold == b.admission_threshold &&
-         a.reject_retry_after_ms == b.reject_retry_after_ms &&
-         a.client_rate == b.client_rate && a.client_burst == b.client_burst &&
-         a.batch_timeout_ms == b.batch_timeout_ms &&
-         a.degrade_high == b.degrade_high && a.degrade_low == b.degrade_low &&
-         a.fault_error_prob == b.fault_error_prob &&
-         a.fault_delay_prob == b.fault_delay_prob &&
-         a.fault_drop_prob == b.fault_drop_prob &&
-         a.fault_delay_ms == b.fault_delay_ms &&
-         a.fault_error_from == b.fault_error_from &&
-         a.fault_seed == b.fault_seed && a.pacer_rate == b.pacer_rate &&
-         a.pacer_burst == b.pacer_burst && a.pacer_aimd == b.pacer_aimd &&
-         a.aimd_increase == b.aimd_increase &&
-         a.aimd_decrease == b.aimd_decrease && a.aimd_floor == b.aimd_floor &&
-         a.aimd_ceiling == b.aimd_ceiling &&
-         a.max_attempts == b.max_attempts &&
-         a.query_timeout_ms == b.query_timeout_ms &&
-         a.submit_deadline_ms == b.submit_deadline_ms &&
-         a.circuit_threshold == b.circuit_threshold &&
-         a.circuit_cooldown_ms == b.circuit_cooldown_ms &&
-         a.checkpoint_dir == b.checkpoint_dir && a.crashes == b.crashes &&
-         a.sessions == b.sessions;
 }
 
 void write_manifest(std::ostream& out, const CampaignManifest& m) {

@@ -28,8 +28,10 @@
 //
 // `session <client_id>` opens a block; every later key applies to that
 // session until the next `session` line. Keys before the first session are
-// campaign-global. Unknown keys fail the parse (typos must not silently
-// reconfigure a campaign).
+// campaign-global. Unknown keys and malformed values fail the parse (typos
+// must not silently reconfigure a campaign): a number must parse whole as
+// its field's type and fit its range ("1e3" is not an int, "-5" is not a
+// seed), reals must be finite, and the 0/1 flags take nothing else.
 
 #include <cstddef>
 #include <cstdint>
@@ -77,7 +79,7 @@ struct SessionSpec {
   // "<checkpoint_dir>/<client_id>.ck"; empty + no dir = no checkpointing.
   std::string checkpoint;
 
-  friend bool operator==(const SessionSpec& a, const SessionSpec& b);
+  friend bool operator==(const SessionSpec&, const SessionSpec&) = default;
 };
 
 // Scheduled victim crash: at `at_ms` of campaign clock time the server
@@ -154,7 +156,8 @@ struct CampaignManifest {
 
   std::vector<SessionSpec> sessions;
 
-  friend bool operator==(const CampaignManifest& a, const CampaignManifest& b);
+  friend bool operator==(const CampaignManifest&,
+                         const CampaignManifest&) = default;
 };
 
 // Stream forms, for embedding in other formats and for tests.

@@ -249,6 +249,63 @@ TEST(Manifest, ParsesCommentsAndBlankLines) {
   EXPECT_EQ(m.sessions[0].queries, 4);
 }
 
+// Each value must parse whole as its field's type. A prefix or wrapping
+// parse would load these lines as a different campaign than written
+// (1 query, 40 iterations, max_batch 8, 0.05, seed 2^64 - 5) or as NaN /
+// inf, and an infinite timeout overflows the runner's int64 millisecond
+// cast.
+TEST(Manifest, RejectsMalformedNumbers) {
+  const char* const bad[] = {
+      "session a\nqueries 1e3\n",
+      "session a\niterations 4294967336\n",
+      "max_batch 8x\n",
+      "fault_error_prob 0.05%\n",
+      "seed -5\n",
+      "client_rate nan\n",
+      "query_timeout_ms inf\n",
+  };
+  const CampaignManifest before = full_manifest();
+  for (const char* text : bad) {
+    CampaignManifest out = before;
+    std::stringstream in(text);
+    EXPECT_FALSE(campaign::parse_manifest(in, out)) << text;
+    EXPECT_TRUE(out == before) << text;
+  }
+
+  // The well-formed spellings of the same values still parse.
+  std::stringstream good(
+      "seed 18446744073709551611\nmax_batch 8\nfault_error_prob 5e-4\n"
+      "session a\nqueries 1000\niterations 2147483647\n");
+  CampaignManifest out;
+  ASSERT_TRUE(campaign::parse_manifest(good, out));
+  EXPECT_EQ(out.seed, 18446744073709551611ull);
+  EXPECT_EQ(out.max_batch, 8u);
+  EXPECT_EQ(out.fault_error_prob, 5e-4);
+  EXPECT_EQ(out.sessions[0].queries, 1000);
+  EXPECT_EQ(out.sessions[0].iterations, 2147483647);
+}
+
+// Every committed soak manifest (bench/soaks, run by bench/campaign_soak)
+// loads and survives write_manifest -> parse_manifest unchanged.
+TEST(Manifest, CommittedSoakManifestsParseAndRoundTrip) {
+  std::size_t files = 0;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(DUO_SOAK_MANIFEST_DIR)) {
+    if (!entry.is_regular_file()) continue;
+    ++files;
+    const std::string path = entry.path().string();
+    CampaignManifest loaded;
+    ASSERT_TRUE(campaign::load_manifest(loaded, path)) << path;
+    EXPECT_FALSE(loaded.sessions.empty()) << path;
+    std::stringstream ss;
+    campaign::write_manifest(ss, loaded);
+    CampaignManifest reparsed;
+    ASSERT_TRUE(campaign::parse_manifest(ss, reparsed)) << path;
+    EXPECT_TRUE(reparsed == loaded) << path;
+  }
+  EXPECT_EQ(files, 8u);  // fault, overload, campaign, crash × smoke, quick
+}
+
 // ---------------------------------------------------------------------------
 // Fairness ledger
 // ---------------------------------------------------------------------------

@@ -927,6 +927,56 @@ TEST(Resilient, RetriesThroughMixedFaultsToCorrectAnswers) {
   EXPECT_EQ(resilient.query_count(), resilient.queries_billed());
 }
 
+// resilient.hpp promises that client threads may share one handle. Campaign
+// sessions each own theirs, so this drives a shared one under a mixed fault
+// schedule: every answer stays exact, and the handle's billing matches both
+// its own retry count and the server's ledger.
+TEST(Resilient, SharedHandleAcrossThreadsUnderFaults) {
+  auto& w = ServeWorld::mutable_instance();
+  ServerConfig cfg;
+  cfg.max_batch = 4;
+  FaultConfig fc;
+  fc.error_prob = 0.1;
+  fc.drop_prob = 0.1;
+  fc.delay_prob = 0.05;
+  fc.delay_ms = 2.0;
+  fc.seed = 31;
+  cfg.fault_injector = std::make_shared<FaultInjector>(fc);
+  RetrievalServer server(*w.system, cfg);
+  AsyncBlackBoxHandle async(server);
+  RetryPolicy policy;
+  policy.query_timeout = std::chrono::milliseconds(5000);  // sanitizer slack
+  ResilientHandle shared(async, policy);
+
+  constexpr int kThreads = 4;
+  constexpr int kQueries = 12;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&, t] {
+      for (int q = 0; q < kQueries; ++q) {
+        const std::size_t i = static_cast<std::size_t>(t + q * kThreads) %
+                              w.dataset.test.size();
+        try {
+          if (shared.retrieve(w.dataset.test[i], 5) != w.expected[i]) ++wrong;
+        } catch (const ServeError&) {
+          ++wrong;
+        }
+      }
+    });
+  }
+  for (auto& c : clients) c.join();
+  server.shutdown();
+
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_GT(shared.faults_seen(), 0);
+  EXPECT_EQ(shared.queries_billed(), kThreads * kQueries + shared.retries());
+  EXPECT_EQ(shared.queries_billed(),
+            stats.queries_served + stats.faults_injected +
+                stats.requests_expired + stats.requests_shed);
+}
+
 TEST(Resilient, GivesUpOnceAttemptsOrBudgetExhaust) {
   auto& w = ServeWorld::mutable_instance();
   ServerConfig cfg;
