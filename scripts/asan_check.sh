@@ -7,11 +7,14 @@
 # snapshot, the chaos path swaps the live gallery index for one reloaded
 # from disk, and reconnecting clients replay pipelined requests against the
 # new epoch. The register-tiled GEMM's zero-padded edge tiles are the other
-# place an out-of-bounds store would hide, and the Alg. 2 driver's deferred
-# and pipelined candidates are the attack-side lifetimes. This script
-# configures a dedicated build tree with -DDUO_SANITIZE=address and runs the
-# GEMM, serve, SparseQuery, failure-mode, serialization, campaign, and
-# crash-recovery suites plus campaign_soak's smoke pass under ASan.
+# place an out-of-bounds store would hide, as are im2col's zero-padded
+# channel copies (the Conv3d kernel suites sweep odd kernel, stride and
+# padding shapes through them) and extract_batch's kept replicas. The Alg. 2
+# driver's deferred and pipelined candidates are the attack-side lifetimes.
+# This script configures a dedicated build tree with -DDUO_SANITIZE=address
+# and runs the GEMM, Conv3d-kernel, parallel-determinism, serve,
+# SparseQuery, failure-mode, serialization, campaign, and crash-recovery
+# suites plus campaign_soak's smoke pass under ASan.
 #
 # Usage: scripts/asan_check.sh [build-dir]   (default: build-asan)
 set -euo pipefail
@@ -23,15 +26,16 @@ cmake -B "$build_dir" -S "$repo_root" -DDUO_SANITIZE=address \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$build_dir" -j "$(nproc)" \
   --target test_gemm test_serve test_sparse_query test_failure_modes \
-  test_serialization test_campaign test_crash_recovery
+  test_serialization test_campaign test_crash_recovery test_gradcheck \
+  test_parallel_determinism
 
 # ASan multiplies runtime ~2-3x and memory ~3x; the suites here are the ones
-# that exercise edge-tile stores, crash/restart, snapshot restore, index
-# reload, and client reconnect lifetimes. halt_on_error keeps CI loud on the
-# first report.
+# that exercise edge-tile stores, im2col's padded copies, crash/restart,
+# snapshot restore, index reload, and client reconnect lifetimes.
+# halt_on_error keeps CI loud on the first report.
 export ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1:detect_leaks=1}"
 ctest --test-dir "$build_dir" \
-  -R 'Gemm|Serve|SparseQuery|FailureModes|Serialization|Campaign|CrashRecovery' \
+  -R 'Gemm|Serve|SparseQuery|FailureModes|Serialization|Campaign|CrashRecovery|Conv3dKernels|ParallelDeterminism' \
   --output-on-failure --timeout 1800
 
 # campaign_soak drives the whole surface end to end: its crash manifest is

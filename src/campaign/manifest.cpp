@@ -65,6 +65,16 @@ bool parse_number(const std::string& s, T& out) {
   return true;
 }
 
+// Every `_ms` key is a duration in milliseconds that some component turns
+// into a std::chrono duration; bounding it at parse time keeps those
+// conversions (down to nanoseconds in future::wait_for) from overflowing.
+bool parse_duration_ms(const std::string& s, double& out) {
+  double v = 0.0;
+  if (!parse_number(s, v) || std::fabs(v) > kMaxDurationMs) return false;
+  out = v;
+  return true;
+}
+
 bool parse_flag(const std::string& s, bool& out) {
   if (s != "0" && s != "1") return false;
   out = s == "1";
@@ -83,16 +93,18 @@ bool apply_global(CampaignManifest& m, const std::string& key,
   if (key == "admission_threshold")
     return parse_number(value, m.admission_threshold);
   if (key == "reject_retry_after_ms")
-    return parse_number(value, m.reject_retry_after_ms);
+    return parse_duration_ms(value, m.reject_retry_after_ms);
   if (key == "client_rate") return parse_number(value, m.client_rate);
   if (key == "client_burst") return parse_number(value, m.client_burst);
-  if (key == "batch_timeout_ms") return parse_number(value, m.batch_timeout_ms);
+  if (key == "batch_timeout_ms")
+    return parse_duration_ms(value, m.batch_timeout_ms);
   if (key == "degrade_high") return parse_number(value, m.degrade_high);
   if (key == "degrade_low") return parse_number(value, m.degrade_low);
   if (key == "fault_error_prob") return parse_number(value, m.fault_error_prob);
   if (key == "fault_delay_prob") return parse_number(value, m.fault_delay_prob);
   if (key == "fault_drop_prob") return parse_number(value, m.fault_drop_prob);
-  if (key == "fault_delay_ms") return parse_number(value, m.fault_delay_ms);
+  if (key == "fault_delay_ms")
+    return parse_duration_ms(value, m.fault_delay_ms);
   if (key == "fault_error_from") return parse_number(value, m.fault_error_from);
   if (key == "fault_seed") return parse_number(value, m.fault_seed);
   if (key == "pacer_rate") return parse_number(value, m.pacer_rate);
@@ -103,17 +115,18 @@ bool apply_global(CampaignManifest& m, const std::string& key,
   if (key == "aimd_floor") return parse_number(value, m.aimd_floor);
   if (key == "aimd_ceiling") return parse_number(value, m.aimd_ceiling);
   if (key == "max_attempts") return parse_number(value, m.max_attempts);
-  if (key == "query_timeout_ms") return parse_number(value, m.query_timeout_ms);
+  if (key == "query_timeout_ms")
+    return parse_duration_ms(value, m.query_timeout_ms);
   if (key == "submit_deadline_ms")
-    return parse_number(value, m.submit_deadline_ms);
+    return parse_duration_ms(value, m.submit_deadline_ms);
   if (key == "circuit_threshold")
     return parse_number(value, m.circuit_threshold);
   if (key == "circuit_cooldown_ms")
-    return parse_number(value, m.circuit_cooldown_ms);
+    return parse_duration_ms(value, m.circuit_cooldown_ms);
   if (key == "checkpoint_dir") return (m.checkpoint_dir = value, true);
   if (key == "crash_at_ms") {
     double v = 0.0;
-    if (!parse_number(value, v) || v <= 0.0) return false;
+    if (!parse_duration_ms(value, v) || v <= 0.0) return false;
     // Strictly increasing, so the runner can execute the schedule as a
     // single forward sweep of the campaign clock.
     if (!m.crashes.empty() && v <= m.crashes.back().at_ms) return false;
@@ -126,7 +139,7 @@ bool apply_global(CampaignManifest& m, const std::string& key,
     // Tunes the most recent crash_at_ms event; meaningless before one.
     if (m.crashes.empty()) return false;
     double v = 0.0;
-    if (!parse_number(value, v) || v <= 0.0) return false;
+    if (!parse_duration_ms(value, v) || v <= 0.0) return false;
     m.crashes.back().restart_after_ms = v;
     return true;
   }
@@ -138,8 +151,8 @@ bool apply_session(SessionSpec& s, const std::string& key,
   if (key == "role") return role_from_name(value, s.role);
   if (key == "seed") return parse_number(value, s.seed);
   if (key == "m") return parse_number(value, s.m);
-  if (key == "ttl_ms") return parse_number(value, s.ttl_ms);
-  if (key == "think_ms") return parse_number(value, s.think_ms);
+  if (key == "ttl_ms") return parse_duration_ms(value, s.ttl_ms);
+  if (key == "think_ms") return parse_duration_ms(value, s.think_ms);
   if (key == "queries") return parse_number(value, s.queries);
   if (key == "iterations") return parse_number(value, s.iterations);
   if (key == "rounds") return parse_number(value, s.rounds);

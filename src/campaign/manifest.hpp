@@ -31,7 +31,8 @@
 // campaign-global. Unknown keys and malformed values fail the parse (typos
 // must not silently reconfigure a campaign): a number must parse whole as
 // its field's type and fit its range ("1e3" is not an int, "-5" is not a
-// seed), reals must be finite, and the 0/1 flags take nothing else.
+// seed), reals must be finite, every `_ms` duration must lie within
+// ±kMaxDurationMs, and the 0/1 flags take nothing else.
 
 #include <cstddef>
 #include <cstdint>
@@ -42,6 +43,11 @@
 #include "serve/admission.hpp"
 
 namespace duo::campaign {
+
+// Largest magnitude any `_ms` manifest key accepts: 10^9 ms, about 11.6
+// days. Far below the ~9.2e12 ms at which a std::chrono nanosecond
+// conversion of the value (as in future::wait_for) overflows int64.
+inline constexpr double kMaxDurationMs = 1e9;
 
 // What a session does with its client thread.
 enum class SessionRole {

@@ -12,32 +12,33 @@ std::vector<Tensor> FeatureExtractor::extract_batch(
   ThreadPool& pool = compute_pool();
   const std::size_t shards = std::min(pool.size(), videos.size());
 
-  // One extractor per shard: shard 0 reuses this instance, the rest are
-  // clones. Extractors are stateful across forward passes, so sharing one
+  // One extractor per shard: shard 0 is this instance, the rest are kept
+  // replicas. Extractors are stateful across forward passes, so sharing one
   // instance across threads is not an option.
-  std::vector<std::unique_ptr<FeatureExtractor>> clones;
-  if (shards >= 2) {
-    clones.reserve(shards - 1);
-    for (std::size_t s = 1; s < shards; ++s) {
-      auto c = clone();
-      if (!c) {
-        clones.clear();
-        break;
-      }
-      clones.push_back(std::move(c));
+  bool parallel = shards >= 2;
+  while (parallel && replicas_.size() < shards - 1) {
+    auto c = clone();
+    if (c) {
+      replicas_.push_back(std::move(c));
+    } else {
+      parallel = false;
     }
   }
 
-  if (clones.empty()) {
+  if (!parallel) {
     for (std::size_t i = 0; i < videos.size(); ++i) {
       features[i] = extract(videos[i]);
     }
     return features;
   }
 
-  pool.parallel_for(clones.size() + 1, [&](std::size_t s) {
-    FeatureExtractor& ex = s == 0 ? *this : *clones[s - 1];
-    for (std::size_t i = s; i < videos.size(); i += clones.size() + 1) {
+  // Weights may have changed since the replicas were made or last used.
+  for (std::size_t s = 0; s + 1 < shards; ++s) {
+    replicas_[s]->copy_parameters_from(*this);
+  }
+  pool.parallel_for(shards, [&](std::size_t s) {
+    FeatureExtractor& ex = s == 0 ? *this : *replicas_[s - 1];
+    for (std::size_t i = s; i < videos.size(); i += shards) {
       features[i] = ex.extract(videos[i]);
     }
   });

@@ -37,12 +37,20 @@ class FeatureExtractor {
 
   // Features for a batch of videos, in input order — the batched entry point
   // used by gallery ingestion and the serve layer's micro-batching scheduler.
-  // The default implementation shards the batch over clone() replicas on the
-  // compute pool (one clone per worker, amortized across the whole batch);
-  // a non-cloneable extractor degrades to a serial extract() loop. Either
-  // way the result is bitwise identical to calling extract() serially on
-  // this instance, and overrides must preserve that contract — retrieval
-  // answers may not depend on how requests were batched.
+  // The default implementation shards the batch over the compute pool: shard
+  // 0 runs on this instance, every other shard on a replica this instance
+  // keeps across calls. A replica is made by clone() the first time its
+  // shard is needed (more are added when the pool grows), and at the start
+  // of every parallel call each one used gets this instance's weights
+  // through copy_parameters_from, so a weight update between calls never
+  // serves stale features. Kept replicas hold a copy of the weights and the
+  // layer caches of their last forward (activations and im2col patch
+  // matrices, about 1 MB per replica for MiniI3D at 8×16×16) until this
+  // instance is destroyed. A non-cloneable extractor degrades to a serial
+  // extract() loop. Either way the result is bitwise identical to calling
+  // extract() serially on this instance, and overrides must preserve that
+  // contract — retrieval answers may not depend on how requests were
+  // batched.
   virtual std::vector<Tensor> extract_batch(
       std::span<const video::Video> videos);
 
@@ -99,6 +107,10 @@ class FeatureExtractor {
       dst_params[i]->value = src_params[i]->value;
     }
   }
+
+ private:
+  // extract_batch's shard replicas (shard s ≥ 1 runs on replicas_[s - 1]).
+  std::vector<std::unique_ptr<FeatureExtractor>> replicas_;
 };
 
 // The architectures of the paper's evaluation (§V-B): four victims

@@ -138,7 +138,10 @@ Tensor Conv3d::backward(const Tensor& grad_output) {
 Tensor Conv3d::forward_gemm(const Tensor& input,
                             const Tensor::Shape& out_shape) {
   const Im2colGeom g = make_geom(input.shape(), out_shape);
-  cached_cols_ = Tensor({g.rows(), g.cols()});
+  // im2col overwrites every entry, so the previous forward's patch matrix is
+  // reused when its shape is unchanged (the steady state of serving).
+  const Tensor::Shape cols_shape = {g.rows(), g.cols()};
+  if (cached_cols_.shape() != cols_shape) cached_cols_ = Tensor(cols_shape);
   im2col(g, input.data(), cached_cols_.data());
 
   // Seed each output row with its bias (the reference kernel starts every

@@ -86,7 +86,9 @@ class Conv3d final : public Module {
   Parameter weight_;  // [Cout, Cin, kt, kh, kw]
   Parameter bias_;    // [Cout] (unused storage when spec_.bias == false)
   Tensor cached_input_;
-  Tensor cached_cols_;  // im2col patch matrix (kGemm forwards only)
+  // im2col patch matrix of the last kGemm forward; its storage is reused by
+  // the next forward with the same patch-matrix size.
+  Tensor cached_cols_;
   Conv3dKernel forward_kernel_ = Conv3dKernel::kAuto;  // kernel of last forward
 };
 

@@ -44,6 +44,19 @@ std::uint64_t client_seed_hash(const std::string& id) {
   return h;
 }
 
+// Fail every request with a billed ServeError of its own. Requests must not
+// share one exception object: each future's get() rethrows the stored
+// object on its own client thread, so a shared one is touched by several
+// threads at once.
+template <typename Requests>
+void fail_each_billed(Requests& requests, ServeErrorCode code,
+                      const std::string& what) {
+  for (auto& r : requests) {
+    r.promise.set_exception(
+        std::make_exception_ptr(ServeError(code, /*billed=*/true, what)));
+  }
+}
+
 }  // namespace
 
 RetrievalServer::RetrievalServer(retrieval::RetrievalSystem& system,
@@ -215,10 +228,8 @@ bool RetrievalServer::enqueue(Request& req,
     }
     // Shed requests were accepted (and billed at acceptance); fail them with
     // the typed eviction error so retrying clients can resubmit.
-    const auto error = std::make_exception_ptr(
-        ServeError(ServeErrorCode::kShed, /*billed=*/true,
-                   "RetrievalServer: shed to admit fresher work"));
-    for (auto& victim : shed_victims) victim.promise.set_exception(error);
+    fail_each_billed(shed_victims, ServeErrorCode::kShed,
+                     "RetrievalServer: shed to admit fresher work");
   }
   return true;
 }
@@ -294,11 +305,9 @@ void RetrievalServer::fail_lost(std::vector<Request>& lost) {
   // about to spend) backend work on them — so they stay billed, mirroring
   // the shed/expired convention. kConnectionLost is retryable: the client
   // re-submits after the restart.
-  const auto error = std::make_exception_ptr(
-      ServeError(ServeErrorCode::kConnectionLost, /*billed=*/true,
-                 "RetrievalServer: server crashed with the request in "
-                 "flight"));
-  for (auto& r : lost) r.promise.set_exception(error);
+  fail_each_billed(lost, ServeErrorCode::kConnectionLost,
+                   "RetrievalServer: server crashed with the request in "
+                   "flight");
   lost.clear();
 }
 
@@ -513,10 +522,8 @@ void RetrievalServer::scheduler_loop() {
         requests_expired_ += static_cast<std::int64_t>(expired.size());
         for (const auto& r : expired) ++client_slot(r.client_id).expired;
       }
-      const auto error = std::make_exception_ptr(
-          ServeError(ServeErrorCode::kExpired, /*billed=*/true,
-                     "RetrievalServer: deadline expired while queued"));
-      for (auto& r : expired) r.promise.set_exception(error);
+      fail_each_billed(expired, ServeErrorCode::kExpired,
+                       "RetrievalServer: deadline expired while queued");
     }
     if (!batch.empty()) process_batch(batch);
   }
@@ -591,11 +598,9 @@ void RetrievalServer::process_batch(std::vector<Request>& batch) {
   try {
     features = system_.extractor().extract_batch(videos);
   } catch (const std::exception& e) {
-    const auto error = std::make_exception_ptr(
-        ServeError(ServeErrorCode::kFatal, /*billed=*/true,
-                   std::string("RetrievalServer: backend failure: ") +
-                       e.what()));
-    for (auto& r : batch) r.promise.set_exception(error);
+    fail_each_billed(batch, ServeErrorCode::kFatal,
+                     std::string("RetrievalServer: backend failure: ") +
+                         e.what());
     return;
   }
 

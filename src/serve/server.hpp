@@ -4,8 +4,8 @@
 // rather than a synchronous in-process call. Clients submit(video, m) from
 // any thread and get a std::future for the retrieval list; a dedicated
 // scheduler thread drains up to `max_batch` queued requests per tick,
-// featurizes them with one FeatureExtractor::extract_batch call (amortizing
-// extractor-replica setup across the batch), answers each against the index
+// featurizes them with one FeatureExtractor::extract_batch call (sharded
+// over extractor replicas kept across batches), answers each against the index
 // (per-request lookups fanned out over compute_pool(), each inner shard
 // scan serial), and fulfills the futures in arrival order.
 //

@@ -84,6 +84,13 @@ void write_payload(std::ostream& out, const ServerSnapshot& snap) {
   }
 }
 
+// A reservoir holds a sample of the latencies counted so far, so its count
+// can never be below its size. Algorithm R draws a slot from [0, count] once
+// the reservoir is full; a smaller count would draw from an empty range.
+bool count_covers(std::int64_t count, const std::vector<double>& reservoir) {
+  return count >= static_cast<std::int64_t>(reservoir.size());
+}
+
 bool read_payload(std::istream& in, ServerSnapshot& snap) {
   if (!io::read_i64(in, snap.epoch) || snap.epoch < 1) return false;
   if (!io::read_i64(in, snap.queries_served)) return false;
@@ -100,6 +107,7 @@ bool read_payload(std::istream& in, ServerSnapshot& snap) {
   if (!io::read_i64_vec(in, snap.retry_after_buckets)) return false;
   if (!io::read_f64_vec(in, snap.latency_reservoir)) return false;
   if (!io::read_i64(in, snap.latency_count)) return false;
+  if (!count_covers(snap.latency_count, snap.latency_reservoir)) return false;
   if (!io::read_f64(in, snap.max_latency_ms)) return false;
   if (!io::read_u64(in, snap.reservoir_rng_state)) return false;
   if (!io::read_i64(in, snap.degrade_entries)) return false;
@@ -127,6 +135,7 @@ bool read_payload(std::istream& in, ServerSnapshot& snap) {
     if (!io::read_i64(in, c.lost)) return false;
     if (!io::read_f64_vec(in, c.reservoir)) return false;
     if (!io::read_i64(in, c.latency_count)) return false;
+    if (!count_covers(c.latency_count, c.reservoir)) return false;
     if (!io::read_f64(in, c.max_latency_ms)) return false;
     if (!io::read_u64(in, c.rng_state)) return false;
     snap.clients.push_back(std::move(c));

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
@@ -270,6 +271,34 @@ TEST(Manifest, RejectsMalformedNumbers) {
     std::stringstream in(text);
     EXPECT_FALSE(campaign::parse_manifest(in, out)) << text;
     EXPECT_TRUE(out == before) << text;
+  }
+
+  // Every duration key takes kMaxDurationMs and refuses the next double up
+  // (a larger value would overflow a nanosecond chrono conversion later).
+  auto spelled = [](double v) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return std::string(buf);
+  };
+  const std::string at = spelled(campaign::kMaxDurationMs);
+  const std::string past =
+      spelled(std::nextafter(campaign::kMaxDurationMs, 1e300));
+  // Each entry is the manifest text before the value.
+  const std::string duration_keys[] = {
+      "reject_retry_after_ms ", "batch_timeout_ms ",
+      "fault_delay_ms ",        "query_timeout_ms ",
+      "submit_deadline_ms ",    "circuit_cooldown_ms ",
+      "crash_at_ms ",           "crash_at_ms 10\nrestart_after_ms ",
+      "session a\nttl_ms ",     "session a\nttl_ms -",
+      "session a\nthink_ms "};
+  for (const auto& prefix : duration_keys) {
+    std::stringstream ok(prefix + at + "\n");
+    CampaignManifest parsed;
+    EXPECT_TRUE(campaign::parse_manifest(ok, parsed)) << prefix << at;
+    CampaignManifest out = before;
+    std::stringstream in(prefix + past + "\n");
+    EXPECT_FALSE(campaign::parse_manifest(in, out)) << prefix << past;
+    EXPECT_TRUE(out == before) << prefix << past;
   }
 
   // The well-formed spellings of the same values still parse.

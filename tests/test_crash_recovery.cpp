@@ -6,11 +6,13 @@
 
 #include <chrono>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "attack/objective.hpp"
@@ -360,6 +362,46 @@ TEST(CrashRecovery, ServerSnapshotFileRoundTripsAndRejectsCorruption) {
   std::remove(path.c_str());
 }
 
+// A reservoir samples the latencies counted so far, so a latency count
+// below the reservoir's size is corrupt. Restoring one would make the next
+// served request draw a reservoir slot from an empty range.
+TEST(CrashRecovery, ServerSnapshotRejectsCountBelowReservoirSize) {
+  const std::string path = ::testing::TempDir() + "duo_crash_count.snap";
+  std::vector<std::pair<std::string, serve::ServerSnapshot>> bad;
+  for (const bool minus_one : {true, false}) {
+    // Either -1 or one below the reservoir's size.
+    auto bad_count = [&](std::size_t reservoir_size) {
+      return minus_one ? std::int64_t{-1}
+                       : static_cast<std::int64_t>(reservoir_size) - 1;
+    };
+    serve::ServerSnapshot global = sample_snapshot();
+    global.latency_count = bad_count(global.latency_reservoir.size());
+    bad.emplace_back("global count " + std::to_string(global.latency_count),
+                     global);
+    for (std::size_t c = 0; c < global.clients.size(); ++c) {
+      serve::ServerSnapshot client = sample_snapshot();
+      auto& slice = client.clients[c];
+      slice.latency_count = bad_count(slice.reservoir.size());
+      bad.emplace_back(
+          slice.id + " count " + std::to_string(slice.latency_count), client);
+    }
+  }
+  for (const auto& [label, snap] : bad) {
+    ASSERT_TRUE(serve::save_snapshot(snap, path)) << label;
+    serve::ServerSnapshot out = sample_snapshot();
+    out.epoch = 42;  // sentinel
+    const serve::ServerSnapshot expected = out;
+    EXPECT_FALSE(serve::load_snapshot(out, path)) << label;
+    EXPECT_TRUE(out == expected) << label;
+  }
+  // The unmodified sample, whose counts cover their reservoirs, still loads.
+  ASSERT_TRUE(serve::save_snapshot(sample_snapshot(), path));
+  serve::ServerSnapshot loaded;
+  EXPECT_TRUE(serve::load_snapshot(loaded, path));
+  EXPECT_TRUE(loaded == sample_snapshot());
+  std::remove(path.c_str());
+}
+
 // The core lifecycle: crash() fails every queued request as a billed
 // connection loss, submits during downtime bounce unbilled, and restart(snap)
 // resumes serving with the epoch bumped and the ledger intact.
@@ -449,6 +491,37 @@ TEST(CrashRecovery, CrashFailsQueuedRequestsBilledAndRestartResumes) {
   serve::ServerSnapshot bad = server.snapshot();
   bad.occupancy_deciles.resize(2);
   EXPECT_THROW(server.restart(bad), std::logic_error);
+}
+
+// Every request lost to one crash() gets its own exception object. A shared
+// one would be rethrown by each client's future on its own thread at once.
+TEST(CrashRecovery, LostRequestsRethrowDistinctExceptionObjects) {
+  auto& w = TinyWorld::mutable_instance();
+  const auto& v = w.dataset.train[2];
+  serve::ServerConfig scfg;
+  // As above: the batching timeout keeps both requests queued until crash().
+  scfg.max_batch = 4;
+  scfg.batch_timeout_ms = 1500.0;
+  serve::RetrievalServer server(*w.victim, scfg);
+  auto f1 = server.submit(v, 8);
+  auto f2 = server.submit(v, 8);
+  server.crash();
+
+  std::vector<std::exception_ptr> held;
+  std::vector<const serve::ServeError*> addresses;
+  for (auto* f : {&f1, &f2}) {
+    try {
+      (void)f->get();
+      FAIL() << "queued request must die with the crash";
+    } catch (const serve::ServeError& e) {
+      EXPECT_TRUE(e.connection_lost());
+      held.push_back(std::current_exception());  // keeps `e` alive
+      addresses.push_back(&e);
+    }
+  }
+  ASSERT_EQ(addresses.size(), 2u);
+  EXPECT_NE(addresses[0], addresses[1]);
+  EXPECT_NE(held[0], held[1]);
 }
 
 TEST(CrashRecovery, RestartWithoutSnapshotStartsFreshLedger) {

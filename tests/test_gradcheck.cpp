@@ -11,6 +11,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "attack/sparse_query.hpp"
@@ -483,6 +484,16 @@ TEST(Conv3dKernels, GemmMatchesDirectOnForwardAndParamGrads) {
       {make_spec(1, 4, {1, 3, 3}, {1, 1, 1}, {0, 1, 1}), {1, 3, 5, 5}},
       {make_spec(4, 4, {1, 1, 1}, {1, 1, 1}, {0, 0, 0}, false), {4, 2, 4, 4}},
       {make_spec(2, 2, {3, 3, 3}, {2, 2, 2}, {1, 1, 1}), {2, 5, 9, 9}},
+      // Padding at or beyond the kernel: whole windows read only padding.
+      {make_spec(2, 3, {2, 2, 3}, {1, 2, 1}, {2, 3, 3}), {2, 3, 4, 5}},
+      // Stride above the kernel: some inputs are never read.
+      {make_spec(2, 2, {1, 2, 2}, {2, 3, 3}, {0, 1, 0}), {2, 5, 8, 9}},
+      // A kernel of 1 on one axis only.
+      {make_spec(3, 2, {3, 1, 3}, {1, 1, 2}, {1, 0, 1}), {3, 4, 5, 7}},
+      // Output extent 1 on every axis: the kernel covers the whole input.
+      {make_spec(2, 3, {2, 4, 4}, {1, 1, 1}, {0, 0, 0}), {2, 2, 4, 4}},
+      // Input narrower than the kernel on every axis.
+      {make_spec(1, 2, {3, 5, 5}, {1, 1, 1}, {1, 2, 2}), {1, 2, 3, 2}},
   };
   for (std::size_t c = 0; c < cases.size(); ++c) {
     const auto direct =
@@ -523,31 +534,38 @@ TEST(Conv3dKernels, GemmBitwiseAcrossThreadCounts) {
 TEST(Conv3dKernels, RepeatedBackwardAccumulatesIdentically) {
   // Parameter gradients accumulate across backward calls; the GEMM path
   // must seed its chains from the existing gradient exactly like the
-  // reference kernel does.
+  // reference kernel does. The forwards change input shape (grow, then
+  // shrink back), so the GEMM path's reused patch matrix must resize, and
+  // each backward must read the patch matrix of its own forward.
   const auto spec = make_spec(2, 3, {3, 3, 3}, {1, 1, 1}, {1, 1, 1});
-  auto run_twice = [&](Conv3dKernel impl) {
+  auto run_three = [&](Conv3dKernel impl) {
     Conv3dSpec s = spec;
     s.kernel_impl = impl;
     Rng rng(50);
     Conv3d conv(s, rng);
     Rng xrng(51);
-    const Tensor x1 = Tensor::uniform({2, 3, 5, 5}, -1.0f, 1.0f, xrng);
-    const Tensor x2 = Tensor::uniform({2, 3, 5, 5}, -1.0f, 1.0f, xrng);
-    const Tensor g1 =
-        Tensor::uniform(conv.output_shape(x1.shape()), -1.0f, 1.0f, xrng);
-    const Tensor g2 =
-        Tensor::uniform(conv.output_shape(x2.shape()), -1.0f, 1.0f, xrng);
-    (void)conv.forward(x1);
-    (void)conv.backward(g1);
-    (void)conv.forward(x2);
-    (void)conv.backward(g2);
-    return std::pair<Tensor, Tensor>(conv.parameters()[0]->grad,
-                                     conv.parameters()[1]->grad);
+    std::vector<Tensor> out, gx;
+    for (const Tensor::Shape& shape : {Tensor::Shape{2, 3, 5, 5},
+                                       Tensor::Shape{2, 4, 6, 7},
+                                       Tensor::Shape{2, 3, 5, 5}}) {
+      const Tensor x = Tensor::uniform(shape, -1.0f, 1.0f, xrng);
+      const Tensor g =
+          Tensor::uniform(conv.output_shape(shape), -1.0f, 1.0f, xrng);
+      out.push_back(conv.forward(x));
+      gx.push_back(conv.backward(g));
+    }
+    return std::tuple(conv.parameters()[0]->grad, conv.parameters()[1]->grad,
+                      out, gx);
   };
-  const auto direct = run_twice(Conv3dKernel::kDirect);
-  const auto gemm = run_twice(Conv3dKernel::kGemm);
-  expect_bitwise_equal(direct.first, gemm.first, "accumulated weight grad");
-  expect_bitwise_equal(direct.second, gemm.second, "accumulated bias grad");
+  const auto [dw, db, dout, dgx] = run_three(Conv3dKernel::kDirect);
+  const auto [gw, gb, gout, ggx] = run_three(Conv3dKernel::kGemm);
+  expect_bitwise_equal(dw, gw, "accumulated weight grad");
+  expect_bitwise_equal(db, gb, "accumulated bias grad");
+  for (std::size_t i = 0; i < dout.size(); ++i) {
+    expect_bitwise_equal(dout[i], gout[i], "forward");
+    ASSERT_EQ(dgx[i].shape(), ggx[i].shape());
+    EXPECT_TRUE(dgx[i].allclose(ggx[i], 1e-4f)) << "forward " << i;
+  }
 }
 
 TEST(Conv3dKernels, CloneCopiesSpecAndWeightsExactly) {

@@ -158,6 +158,58 @@ TEST(ParallelDeterminism, ClonedExtractorMatchesOriginalBitwise) {
   expect_bitwise_equal(model->extract(v), copy->extract(v), "clone features");
 }
 
+// extract_batch keeps its shard replicas across calls. A weight update
+// between calls must reach every replica: those made before the update, and
+// those added when the pool grows (2 → 8 threads) after it.
+TEST(ParallelDeterminism, ExtractBatchFollowsParameterUpdates) {
+  const video::VideoGeometry geometry{8, 16, 16, 3};
+  std::vector<video::Video> videos;
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    videos.push_back(make_test_video(30 + i));
+  }
+  auto make = [&](std::uint64_t seed) {
+    Rng rng(seed);
+    auto model =
+        models::make_extractor(models::ModelKind::kI3D, geometry, 16, rng);
+    model->set_training(false);
+    return model;
+  };
+  // Serial extract() features of a fresh extractor with `seed`'s weights.
+  auto serial = [&](std::uint64_t seed) {
+    return with_compute_threads(1, [&] {
+      auto model = make(seed);
+      std::vector<Tensor> out;
+      for (const auto& v : videos) out.push_back(model->extract(v));
+      return out;
+    });
+  };
+  const std::vector<Tensor> before = serial(3);
+  const std::vector<Tensor> after = serial(4);
+  auto expect_features = [](const std::vector<Tensor>& got,
+                            const std::vector<Tensor>& want,
+                            const char* what) {
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      expect_bitwise_equal(got[i], want[i], what);
+    }
+  };
+
+  auto batch = [&](models::FeatureExtractor& model, std::size_t threads) {
+    return with_compute_threads(threads,
+                                [&] { return model.extract_batch(videos); });
+  };
+
+  const auto update = make(4);
+  for (const std::size_t first_threads : {std::size_t{8}, std::size_t{2}}) {
+    SCOPED_TRACE(first_threads);
+    auto model = make(3);
+    expect_features(batch(*model, first_threads), before,
+                    "batch before the update");
+    model->copy_parameters_from(*update);
+    expect_features(batch(*model, 8), after, "batch after the update");
+  }
+}
+
 struct GalleryResult {
   double map;
   std::vector<std::int64_t> top;

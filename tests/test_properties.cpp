@@ -205,7 +205,12 @@ TEST_P(CodecSweep, RoundTripsAnyGeometry) {
   for (auto& x : v.data().flat()) {
     x = std::round(rng.uniform_f(0.0f, 255.0f));
   }
-  const std::string path = "/tmp/duo_prop_codec.duov";
+  // One file per geometry: ctest runs the instances in parallel processes.
+  const std::string path = ::testing::TempDir() + "duo_prop_codec_" +
+                           std::to_string(g.frames) + "x" +
+                           std::to_string(g.width) + "x" +
+                           std::to_string(g.height) + "x" +
+                           std::to_string(g.channels) + ".duov";
   ASSERT_TRUE(video::save_video(v, path));
   const auto loaded = video::load_video(path);
   ASSERT_TRUE(loaded.has_value());
