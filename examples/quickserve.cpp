@@ -102,7 +102,7 @@ int main() {
               static_cast<long long>(stats.batches), stats.mean_batch_size());
   std::printf("latency: p50 %.2f ms, p95 %.2f ms, max %.2f ms\n",
               stats.p50_latency_ms, stats.p95_latency_ms,
-              stats.max_latency_ms);
+              stats.latency.max_ms);
   std::printf("batch-size histogram:");
   for (std::size_t s = 1; s < stats.batch_size_counts.size(); ++s) {
     if (stats.batch_size_counts[s] > 0) {

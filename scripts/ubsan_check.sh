@@ -8,9 +8,12 @@
 # im2col addresses its zero-padded channel copies by hand.
 # Signed overflow in a size computation, a misaligned or out-of-range cast,
 # or a bad shift there is undefined behaviour long before it is a crash.
+# Every serve and campaign suite runs through the billing ledger, whose
+# counters, histograms and reservoir draws the scheduler updates by hand.
 # This script configures a dedicated build tree with -DDUO_SANITIZE=undefined
 # and runs the serialization, SparseQuery, failure-mode, crash-recovery,
-# GEMM, Conv3d-kernel, and parallel-determinism suites under UBSan.
+# GEMM, Conv3d-kernel, parallel-determinism, serve, admission, campaign and
+# fairness suites under UBSan.
 #
 # Usage: scripts/ubsan_check.sh [build-dir]   (default: build-ubsan)
 set -euo pipefail
@@ -22,11 +25,12 @@ cmake -B "$build_dir" -S "$repo_root" -DDUO_SANITIZE=undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$build_dir" -j "$(nproc)" \
   --target test_serialization test_sparse_query test_failure_modes \
-  test_crash_recovery test_gemm test_gradcheck test_parallel_determinism
+  test_crash_recovery test_gemm test_gradcheck test_parallel_determinism \
+  test_serve test_campaign
 
 # UBSan recovers and keeps going by default; halt_on_error turns the first
 # report into a test failure so CI stays loud.
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 ctest --test-dir "$build_dir" \
-  -R 'Serialization|SparseQuery|FailureModes|CrashRecovery|Gemm|Conv3dKernels|ParallelDeterminism' \
+  -R 'Serialization|SparseQuery|FailureModes|CrashRecovery|Gemm|Conv3dKernels|ParallelDeterminism|Serve|Admission|Campaign|Fairness' \
   --output-on-failure --timeout 1800 -j "$(nproc)"

@@ -13,33 +13,19 @@ double jain_index(const std::vector<double>& xs) {
   return (sum * sum) / (static_cast<double>(xs.size()) * sum_sq);
 }
 
-FairnessSummary summarize_fairness(const serve::ServerStats& stats) {
+FairnessSummary summarize_fairness(const serve::Ledger& ledger) {
   FairnessSummary out;
-  out.clients = static_cast<std::int64_t>(stats.per_client.size());
+  out.clients = static_cast<std::int64_t>(ledger.clients.size());
 
   std::vector<double> served;
   std::vector<double> billed;
-  served.reserve(stats.per_client.size());
-  billed.reserve(stats.per_client.size());
-  std::int64_t served_total = 0;
-  std::int64_t faulted_total = 0;
-  std::int64_t throttled_total = 0;
-  std::int64_t rejected_total = 0;
-  std::int64_t shed_total = 0;
-  std::int64_t expired_total = 0;
-  std::int64_t lost_total = 0;
+  served.reserve(ledger.clients.size());
+  billed.reserve(ledger.clients.size());
   bool first = true;
-  for (const auto& [id, c] : stats.per_client) {
+  for (const auto& [id, c] : ledger.clients) {
     served.push_back(static_cast<double>(c.served));
     billed.push_back(static_cast<double>(c.billed()));
     out.billed_total += c.billed();
-    served_total += c.served;
-    faulted_total += c.faulted;
-    throttled_total += c.throttled;
-    rejected_total += c.rejected;
-    shed_total += c.shed;
-    expired_total += c.expired;
-    lost_total += c.lost;
     if (first || c.served > out.most_served) {
       out.most_served = c.served;
       out.most_served_client = id;
@@ -53,23 +39,11 @@ FairnessSummary summarize_fairness(const serve::ServerStats& stats) {
   out.jain_served = jain_index(served);
   out.jain_billed = jain_index(billed);
 
-  // The per-client ledger is billed() by construction; what must be PROVEN
-  // is that the per-client slices sum exactly to the global counters — i.e.
-  // no request was double-counted or lost between the two accountings.
-  out.ledger_ok = served_total == stats.queries_served &&
-                  faulted_total == stats.faults_injected &&
-                  throttled_total == stats.requests_throttled &&
-                  rejected_total == stats.requests_rejected &&
-                  shed_total == stats.requests_shed &&
-                  expired_total == stats.requests_expired &&
-                  // Crash casualties: the lost slices must likewise sum to
-                  // the global counter (lost is a subset of faulted, so the
-                  // billed formula below already covers it).
-                  lost_total == stats.requests_lost &&
-                  out.billed_total == stats.queries_served +
-                                          stats.faults_injected +
-                                          stats.requests_expired +
-                                          stats.requests_shed;
+  // Each client entry satisfies the billing identity by construction; what
+  // must be PROVEN is that the entries sum exactly to the global counters —
+  // no request double-counted or lost between the two accountings. Billed
+  // totals then agree too, since billed() is a sum of those counters.
+  out.ledger_ok = ledger.clients_sum_to_counters();
   return out;
 }
 

@@ -1,14 +1,14 @@
 #pragma once
 
-// Per-client fairness ledger over a ServerStats snapshot. Jain's index
+// Per-client fairness over a serve::Ledger (a ServerStats is one). Jain's index
 //   J(x) = (Σxᵢ)² / (n · Σxᵢ²)
 // over per-client served counts is 1.0 when every client got the same
 // service and → 1/n as one client monopolizes the victim; a starved client
-// is detectable from the summary without reading n rows. The ledger also
-// re-checks the billing invariant per client and globally:
-//   billed == served + faulted + expired + shed
-// (throttled/rejected turn-aways are unbilled), so a campaign report that
-// prints `reconciled` has proven its accounting end to end.
+// is detectable from the summary without reading n rows. The summary also
+// checks that the client entries sum to the global counters
+// (Ledger::clients_sum_to_counters), so with the billing identity of
+// serve::Ledger a campaign report that prints `reconciled` has proven its
+// accounting end to end.
 
 #include <cstdint>
 #include <string>
@@ -26,8 +26,8 @@ struct FairnessSummary {
   std::string least_served_client;
   std::int64_t most_served = 0;
   std::int64_t least_served = 0;
-  // Σ per-client billed — equals served+faulted+expired+shed globally when
-  // the ledger reconciles.
+  // Σ per-client billed — equals Ledger::billed() when the ledger
+  // reconciles.
   std::int64_t billed_total = 0;
   bool ledger_ok = false;
 };
@@ -36,8 +36,8 @@ struct FairnessSummary {
 // starved when nobody asked).
 double jain_index(const std::vector<double>& xs);
 
-// Summarize the per-client breakdown of one stats snapshot. ledger_ok checks
-// the per-client ledgers AND that their sums match the global counters.
-FairnessSummary summarize_fairness(const serve::ServerStats& stats);
+// Summarize the per-client entries of one ledger. ledger_ok checks that
+// they sum to the global counters.
+FairnessSummary summarize_fairness(const serve::Ledger& ledger);
 
 }  // namespace duo::campaign

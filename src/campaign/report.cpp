@@ -40,10 +40,11 @@ TableWriter fairness_table(const CampaignOutcome& outcome) {
                     "rejected", "shed", "expired", "billed", "p50_ms",
                     "p95_ms"});
   table.set_precision(3);
-  for (const auto& [id, c] : outcome.server.per_client) {
+  for (const auto& [id, c] : outcome.server.clients) {
     table.add_row({id, ll(c.served), ll(c.faulted), ll(c.lost),
                    ll(c.throttled), ll(c.rejected), ll(c.shed), ll(c.expired),
-                   ll(c.billed()), c.p50_latency_ms, c.p95_latency_ms});
+                   ll(c.billed()), c.latency.percentile(0.50),
+                   c.latency.percentile(0.95)});
   }
   return table;
 }

@@ -222,11 +222,10 @@ CampaignOutcome CampaignRunner::run() {
   out.requests_lost = out.server.requests_lost;
   for (const auto& s : out.sessions) out.queries_replayed += s.reconnects;
   for (const auto& s : out.sessions) out.client_billed += s.queries_billed;
-  out.server_billed = out.server.queries_served + out.server.faults_injected +
-                      out.server.requests_expired + out.server.requests_shed;
+  out.server_billed = out.server.billed();
   // Client-side billing counts accepted submissions; every accepted request
   // terminates as exactly one of served/faulted/expired/shed, so the two
-  // sides must agree — and the per-client slices must sum to the globals.
+  // sides must agree — and the client entries must sum to the globals.
   out.ledger_ok =
       out.client_billed == out.server_billed && out.fairness.ledger_ok;
   return out;

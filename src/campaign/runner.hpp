@@ -43,8 +43,8 @@ struct CampaignOutcome {
   FairnessSummary fairness;
 
   // Ledger: Σ session queries_billed (client-side, this run) must equal the
-  // server-side billed total served + faulted + expired + shed. ledger_ok
-  // also folds in the per-client reconciliation (FairnessSummary).
+  // server-side serve::Ledger::billed(). ledger_ok also folds in the
+  // per-client reconciliation (FairnessSummary).
   std::int64_t client_billed = 0;
   std::int64_t server_billed = 0;
   bool ledger_ok = false;

@@ -86,6 +86,8 @@ class Rng {
   // Raw generator state, for checkpointing: Rng(state()) resumes the stream
   // exactly where this generator left off.
   std::uint64_t state() const noexcept { return state_; }
+  // Equal states draw equal streams.
+  friend bool operator==(const Rng&, const Rng&) = default;
 
   // Fisher-Yates shuffle of an indexable container.
   template <typename Container>

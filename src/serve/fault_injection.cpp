@@ -1,7 +1,5 @@
 #include "serve/fault_injection.hpp"
 
-#include <thread>
-
 #include "common/check.hpp"
 
 namespace duo::serve {
@@ -70,30 +68,6 @@ std::vector<FaultKind> FaultInjector::schedule(const FaultConfig& config,
   out.reserve(n);
   for (std::size_t i = 0; i < n; ++i) out.push_back(preview.next());
   return out;
-}
-
-metrics::RetrievalList FaultySystem::retrieve(const video::Video& v,
-                                              std::size_t m) {
-  switch (injector_.next()) {
-    case FaultKind::kTransientError:
-      throw ServeError(ServeErrorCode::kTransient, /*billed=*/true,
-                       "FaultySystem: injected transient error");
-    case FaultKind::kDrop:
-      // In the synchronous world a dropped response surfaces as the client's
-      // own timeout; the backend still did the work.
-      throw ServeError(ServeErrorCode::kDropped, /*billed=*/true,
-                       "FaultySystem: injected dropped response");
-    case FaultKind::kFatalError:
-      throw ServeError(ServeErrorCode::kFatal, /*billed=*/true,
-                       "FaultySystem: injected fatal victim error");
-    case FaultKind::kDelay:
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::milli>(injector_.config().delay_ms));
-      break;
-    case FaultKind::kNone:
-      break;
-  }
-  return system_.retrieve(v, m);
 }
 
 }  // namespace duo::serve

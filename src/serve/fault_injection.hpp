@@ -9,24 +9,14 @@
 // slowdowns, and dropped responses, plus an optional fatal fault at a fixed
 // request index for kill-and-resume tests.
 //
-// Two injection points share the schedule engine:
-//  - RetrievalServer consults a FaultInjector (ServerConfig::fault_injector)
-//    when fulfilling each request, in arrival order.
-//  - FaultySystem wraps a RetrievalSystem for the synchronous, non-served
-//    path: retrieve() throws / sleeps per the same schedule. Like the raw
-//    system it wraps, it is NOT safe for concurrent retrieve calls.
+// RetrievalServer consults a FaultInjector (ServerConfig::fault_injector)
+// when fulfilling each request, in arrival order.
 
-#include <chrono>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "metrics/metrics.hpp"
-#include "retrieval/system.hpp"
-#include "serve/errors.hpp"
-#include "video/video.hpp"
 
 namespace duo::serve {
 
@@ -90,31 +80,6 @@ class FaultInjector {
   Rng rng_;
   std::int64_t decisions_ = 0;
   std::int64_t injected_ = 0;
-};
-
-// The synchronous victim with faults: wraps a RetrievalSystem and applies a
-// FaultInjector schedule to direct retrieve() calls. Injected faults throw
-// ServeError with billed=true — the backend did (or would have done) the
-// forward pass; only the answer is lost. kDelay sleeps, then answers.
-class FaultySystem {
- public:
-  FaultySystem(retrieval::RetrievalSystem& system, FaultConfig config)
-      : system_(system), injector_(config) {}
-
-  metrics::RetrievalList retrieve(const video::Video& v, std::size_t m);
-
-  // Adapter for retrieval::BlackBoxHandle's type-erased constructor.
-  retrieval::BlackBoxHandle::RetrieveFn retrieve_fn() {
-    return [this](const video::Video& v, std::size_t m) {
-      return retrieve(v, m);
-    };
-  }
-
-  FaultInjector& injector() noexcept { return injector_; }
-
- private:
-  retrieval::RetrievalSystem& system_;
-  FaultInjector injector_;
 };
 
 }  // namespace duo::serve

@@ -9,16 +9,28 @@
 
 #include "common/check.hpp"
 #include "common/thread_pool.hpp"
+#include "models/serialization.hpp"
 #include "serve/errors.hpp"
 #include "serve/fault_injection.hpp"
 
 namespace duo::serve {
 
-namespace {
+void LatencyReservoir::record(double ms, std::size_t cap) {
+  max_ms = std::max(max_ms, ms);
+  if (samples.size() < cap) {
+    samples.push_back(ms);
+  } else if (cap > 0) {
+    // Algorithm R: sample i replaces a reservoir slot with probability R/i,
+    // keeping a uniform sample of everything observed so far.
+    const auto j = rng.uniform_index(static_cast<std::uint64_t>(count) + 1);
+    if (j < samples.size()) samples[j] = ms;
+  }
+  ++count;
+}
 
-// q-th percentile (nearest-rank on the sorted order) of `xs`; mutates `xs`.
-double percentile(std::vector<double>& xs, double q) {
-  if (xs.empty()) return 0.0;
+double LatencyReservoir::percentile(double q) const {
+  if (samples.empty()) return 0.0;
+  std::vector<double> xs = samples;
   const auto idx = static_cast<std::size_t>(
       std::llround(q * static_cast<double>(xs.size() - 1)));
   std::nth_element(xs.begin(), xs.begin() + static_cast<std::ptrdiff_t>(idx),
@@ -26,22 +38,12 @@ double percentile(std::vector<double>& xs, double q) {
   return xs[idx];
 }
 
+namespace {
+
 std::unique_ptr<retrieval::RetrievalSystem> checked_nonnull(
     std::unique_ptr<retrieval::RetrievalSystem> system) {
   DUO_CHECK_MSG(system != nullptr, "RetrievalServer: null system");
   return system;
-}
-
-// FNV-1a over the client id, used to derive a per-client reservoir seed.
-// (Local copy: duo_serve does not link duo_models, where the shared fnv1a
-// helper for checkpoints lives.)
-std::uint64_t client_seed_hash(const std::string& id) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (const unsigned char c : id) {
-    h ^= static_cast<std::uint64_t>(c);
-    h *= 0x100000001B3ULL;
-  }
-  return h;
 }
 
 // Fail every request with a billed ServeError of its own. Requests must not
@@ -99,10 +101,7 @@ void RetrievalServer::start() {
   admit_limit_ = std::max<std::size_t>(
       1, static_cast<std::size_t>(config_.admission_threshold *
                                   static_cast<double>(config_.queue_capacity)));
-  batch_size_counts_.assign(config_.max_batch + 1, 0);
-  occupancy_deciles_.assign(11, 0);
-  retry_after_buckets_.assign(12, 0);
-  latency_reservoir_.reserve(config_.latency_reservoir);
+  ledger_ = fresh_ledger();
   scheduler_ = std::thread([this] { scheduler_loop(); });
 }
 
@@ -123,7 +122,7 @@ bool RetrievalServer::enqueue(Request& req,
     if (wait_ms > 0.0) {
       {
         std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++requests_throttled_;
+        ++ledger_.requests_throttled;
         ++client_slot(opts.client_id).throttled;
         record_retry_after(wait_ms);
       }
@@ -175,7 +174,7 @@ bool RetrievalServer::enqueue(Request& req,
       lock.unlock();
       {
         std::lock_guard<std::mutex> slock(stats_mutex_);
-        ++requests_rejected_;
+        ++ledger_.requests_rejected;
         ++client_slot(opts.client_id).rejected;
         record_retry_after(config_.reject_retry_after_ms);
       }
@@ -219,7 +218,7 @@ bool RetrievalServer::enqueue(Request& req,
   if (!shed_victims.empty()) {
     {
       std::lock_guard<std::mutex> lock(stats_mutex_);
-      requests_shed_ += static_cast<std::int64_t>(shed_victims.size());
+      ledger_.requests_shed += static_cast<std::int64_t>(shed_victims.size());
       // Attribute each eviction to the victim's own client, not the
       // newcomer that displaced it.
       for (const auto& victim : shed_victims) {
@@ -289,18 +288,23 @@ std::int64_t RetrievalServer::epoch() const noexcept {
   return epoch_.load(std::memory_order_relaxed);
 }
 
-void RetrievalServer::fail_lost(std::vector<Request>& lost) {
-  if (lost.empty()) return;
-  {
-    std::lock_guard<std::mutex> slock(stats_mutex_);
-    for (const auto& r : lost) {
-      ++faults_injected_;
-      ++requests_lost_;
-      auto& c = client_slot(r.client_id);
-      ++c.faulted;
+void RetrievalServer::count_faulted(const std::vector<Request>& requests,
+                                    bool lost) {
+  std::lock_guard<std::mutex> lock(stats_mutex_);
+  for (const auto& r : requests) {
+    auto& c = client_slot(r.client_id);
+    ++ledger_.faults_injected;
+    ++c.faulted;
+    if (lost) {
+      ++ledger_.requests_lost;
       ++c.lost;
     }
   }
+}
+
+void RetrievalServer::fail_lost(std::vector<Request>& lost) {
+  if (lost.empty()) return;
+  count_faulted(lost, /*lost=*/true);
   // Lost requests were accepted — the victim may already have spent (or been
   // about to spend) backend work on them — so they stay billed, mirroring
   // the shed/expired convention. kConnectionLost is retryable: the client
@@ -332,7 +336,7 @@ void RetrievalServer::crash() {
   // polls crashed_); the queued ones die here.
   fail_lost(orphans);
   std::lock_guard<std::mutex> slock(stats_mutex_);
-  ++crashes_;
+  ++ledger_.crashes;
 }
 
 ServerSnapshot RetrievalServer::snapshot() const {
@@ -343,42 +347,9 @@ ServerSnapshot RetrievalServer::snapshot() const {
   }
   ServerSnapshot snap;
   snap.epoch = epoch_.load(std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  snap.queries_served = queries_served_;
-  snap.batches = batches_;
-  snap.faults_injected = faults_injected_;
-  snap.requests_throttled = requests_throttled_;
-  snap.requests_rejected = requests_rejected_;
-  snap.requests_shed = requests_shed_;
-  snap.requests_expired = requests_expired_;
-  snap.requests_lost = requests_lost_;
-  snap.crashes = crashes_;
-  snap.batch_size_counts = batch_size_counts_;
-  snap.occupancy_deciles = occupancy_deciles_;
-  snap.retry_after_buckets = retry_after_buckets_;
-  snap.latency_reservoir = latency_reservoir_;
-  snap.latency_count = latency_count_;
-  snap.max_latency_ms = max_latency_ms_;
-  snap.reservoir_rng_state = reservoir_rng_.state();
-  snap.degrade_entries = degrade_entries_;
-  snap.degraded_accum_ms = degraded_accum_ms_;
-  snap.degraded_served = degraded_served_;
-  snap.clients.reserve(clients_.size());
-  for (const auto& [id, acc] : clients_) {  // std::map → sorted by id
-    ServerSnapshot::ClientSlice slice;
-    slice.id = id;
-    slice.served = acc.served;
-    slice.faulted = acc.faulted;
-    slice.throttled = acc.throttled;
-    slice.rejected = acc.rejected;
-    slice.shed = acc.shed;
-    slice.expired = acc.expired;
-    slice.lost = acc.lost;
-    slice.reservoir = acc.reservoir;
-    slice.latency_count = acc.latency_count;
-    slice.max_latency_ms = acc.max_latency_ms;
-    slice.rng_state = acc.rng.state();
-    snap.clients.push_back(std::move(slice));
+  {
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    snap.ledger = ledger_;
   }
   if (limiter_ != nullptr) {
     snap.has_limiter = true;
@@ -409,50 +380,17 @@ void RetrievalServer::restart_internal(const ServerSnapshot* snap) {
     // snapshot overload's job.
     reset_stats();
   } else {
-    if (snap->batch_size_counts.size() != config_.max_batch + 1 ||
-        snap->occupancy_deciles.size() != 11 ||
-        snap->retry_after_buckets.size() != 12) {
+    const Ledger& ledger = snap->ledger;
+    if (ledger.batch_size_counts.size() != config_.max_batch + 1 ||
+        ledger.occupancy_deciles.size() != 11 ||
+        ledger.retry_after_buckets.size() != 12) {
       throw std::logic_error(
           "RetrievalServer::restart: snapshot does not match this server's "
           "configuration");
     }
     std::lock_guard<std::mutex> slock(stats_mutex_);
-    queries_served_ = snap->queries_served;
-    batches_ = snap->batches;
-    faults_injected_ = snap->faults_injected;
-    requests_throttled_ = snap->requests_throttled;
-    requests_rejected_ = snap->requests_rejected;
-    requests_shed_ = snap->requests_shed;
-    requests_expired_ = snap->requests_expired;
-    requests_lost_ = snap->requests_lost;
-    crashes_ = snap->crashes;
-    batch_size_counts_ = snap->batch_size_counts;
-    occupancy_deciles_ = snap->occupancy_deciles;
-    retry_after_buckets_ = snap->retry_after_buckets;
-    latency_reservoir_ = snap->latency_reservoir;
-    latency_count_ = snap->latency_count;
-    max_latency_ms_ = snap->max_latency_ms;
-    reservoir_rng_ = Rng(snap->reservoir_rng_state);
-    degrade_entries_ = snap->degrade_entries;
-    degraded_accum_ms_ = snap->degraded_accum_ms;
-    degraded_served_ = snap->degraded_served;
+    ledger_ = ledger;
     degraded_stat_ = false;  // recovery restores the configured index mode
-    clients_.clear();
-    for (const auto& slice : snap->clients) {
-      ClientAccounting acc;
-      acc.served = slice.served;
-      acc.faulted = slice.faulted;
-      acc.throttled = slice.throttled;
-      acc.rejected = slice.rejected;
-      acc.shed = slice.shed;
-      acc.expired = slice.expired;
-      acc.lost = slice.lost;
-      acc.reservoir = slice.reservoir;
-      acc.latency_count = slice.latency_count;
-      acc.max_latency_ms = slice.max_latency_ms;
-      acc.rng = Rng(slice.rng_state);
-      clients_.emplace(slice.id, std::move(acc));
-    }
     if (snap->has_limiter && limiter_ != nullptr) {
       limiter_->restore(snap->limiter);
     }
@@ -519,7 +457,7 @@ void RetrievalServer::scheduler_loop() {
     if (!expired.empty()) {
       {
         std::lock_guard<std::mutex> lock(stats_mutex_);
-        requests_expired_ += static_cast<std::int64_t>(expired.size());
+        ledger_.requests_expired += static_cast<std::int64_t>(expired.size());
         for (const auto& r : expired) ++client_slot(r.client_id).expired;
       }
       fail_each_billed(expired, ServeErrorCode::kExpired,
@@ -534,7 +472,7 @@ void RetrievalServer::scheduler_loop() {
     degraded_mode_ = false;
     const double now_ms = clock_->now_ms();
     std::lock_guard<std::mutex> lock(stats_mutex_);
-    degraded_accum_ms_ += std::max(0.0, now_ms - degraded_since_ms_);
+    ledger_.degraded_accum_ms += std::max(0.0, now_ms - degraded_since_ms_);
     degraded_stat_ = false;
   }
 }
@@ -561,13 +499,13 @@ void RetrievalServer::update_degradation(std::size_t occupancy) {
   }
   const double now_ms = clock_->now_ms();
   std::lock_guard<std::mutex> lock(stats_mutex_);
-  ++occupancy_deciles_[decile];
+  ++ledger_.occupancy_deciles[decile];
   if (entered) {
-    ++degrade_entries_;
+    ++ledger_.degrade_entries;
     degraded_since_ms_ = now_ms;
     degraded_stat_ = true;
   } else if (left) {
-    degraded_accum_ms_ += std::max(0.0, now_ms - degraded_since_ms_);
+    ledger_.degraded_accum_ms += std::max(0.0, now_ms - degraded_since_ms_);
     degraded_stat_ = false;
   }
 }
@@ -589,7 +527,8 @@ void RetrievalServer::process_batch(std::vector<Request>& batch) {
 
   // Featurize the whole tick in one extract_batch call. A failure here (bad
   // geometry, extractor misuse) poisons the batch, not the scheduler: every
-  // affected future gets a fatal ServeError and the loop keeps serving.
+  // affected future gets a fatal ServeError, billed and counted as faulted,
+  // and the loop keeps serving.
   std::vector<video::Video> videos;
   videos.reserve(batch.size());
   for (auto& r : batch) videos.push_back(std::move(r.video));
@@ -598,6 +537,7 @@ void RetrievalServer::process_batch(std::vector<Request>& batch) {
   try {
     features = system_.extractor().extract_batch(videos);
   } catch (const std::exception& e) {
+    count_faulted(batch, /*lost=*/false);
     fail_each_billed(batch, ServeErrorCode::kFatal,
                      std::string("RetrievalServer: backend failure: ") +
                          e.what());
@@ -650,7 +590,8 @@ void RetrievalServer::process_batch(std::vector<Request>& batch) {
   }
 
   // Per-request outcome for client attribution: served carries its latency,
-  // faulted is counted against the client the injector hit.
+  // faulted (an injected fault or a failed index lookup) is counted against
+  // the client it hit.
   std::vector<std::pair<std::size_t, double>> served_lat;
   served_lat.reserve(batch.size());
   std::vector<std::size_t> faulted_idx;
@@ -683,6 +624,7 @@ void RetrievalServer::process_batch(std::vector<Request>& batch) {
     }
     if (answers[i].error != nullptr) {
       batch[i].promise.set_exception(answers[i].error);
+      faulted_idx.push_back(i);
       continue;
     }
     served_lat.emplace_back(i, batch[i].queued.elapsed_ms());
@@ -690,47 +632,35 @@ void RetrievalServer::process_batch(std::vector<Request>& batch) {
   }
 
   std::lock_guard<std::mutex> lock(stats_mutex_);
-  queries_served_ += static_cast<std::int64_t>(served_lat.size());
+  ledger_.queries_served += static_cast<std::int64_t>(served_lat.size());
   if (degraded_mode_) {  // scheduler thread: its own ladder state
-    degraded_served_ += static_cast<std::int64_t>(served_lat.size());
+    ledger_.degraded_served += static_cast<std::int64_t>(served_lat.size());
   }
-  faults_injected_ += static_cast<std::int64_t>(faulted_idx.size());
-  ++batches_;
-  ++batch_size_counts_[batch.size()];
+  ledger_.faults_injected += static_cast<std::int64_t>(faulted_idx.size());
+  ++ledger_.batches;
+  ++ledger_.batch_size_counts[batch.size()];
   for (const auto& [i, ms] : served_lat) {
-    record_latency(ms);
+    ledger_.latency.record(ms, config_.latency_reservoir);
     auto& c = client_slot(batch[i].client_id);
     ++c.served;
-    record_client_latency(c, ms, config_.client_latency_reservoir);
+    c.latency.record(ms, config_.client_latency_reservoir);
   }
   for (const std::size_t i : faulted_idx) {
     ++client_slot(batch[i].client_id).faulted;
   }
 }
 
-RetrievalServer::ClientAccounting& RetrievalServer::client_slot(
-    const std::string& client_id) {
-  auto it = clients_.find(client_id);
-  if (it == clients_.end()) {
-    it = clients_.emplace(client_id, ClientAccounting{}).first;
+ClientLedger& RetrievalServer::client_slot(const std::string& client_id) {
+  auto it = ledger_.clients.find(client_id);
+  if (it == ledger_.clients.end()) {
+    it = ledger_.clients.emplace(client_id, ClientLedger{}).first;
     // Seeding from the id (not insertion order) keeps each client's retained
     // sample set independent of which clients happened to arrive first.
-    it->second.rng = Rng(kReservoirSeed ^ client_seed_hash(client_id));
+    it->second.latency.rng =
+        Rng(kReservoirSeed ^
+            models::io::fnv1a(client_id.data(), client_id.size()));
   }
   return it->second;
-}
-
-void RetrievalServer::record_client_latency(ClientAccounting& c, double ms,
-                                            std::size_t reservoir_cap) {
-  c.max_latency_ms = std::max(c.max_latency_ms, ms);
-  if (c.reservoir.size() < reservoir_cap) {
-    c.reservoir.push_back(ms);
-  } else if (reservoir_cap > 0) {
-    const auto j =
-        c.rng.uniform_index(static_cast<std::uint64_t>(c.latency_count) + 1);
-    if (j < c.reservoir.size()) c.reservoir[j] = ms;
-  }
-  ++c.latency_count;
 }
 
 void RetrievalServer::record_retry_after(double hint_ms) {
@@ -738,82 +668,32 @@ void RetrievalServer::record_retry_after(double hint_ms) {
   // the last bucket everything beyond.
   std::size_t b = 0;
   double upper = 1.0;
-  while (b + 1 < retry_after_buckets_.size() && hint_ms > upper) {
+  auto& buckets = ledger_.retry_after_buckets;
+  while (b + 1 < buckets.size() && hint_ms > upper) {
     upper *= 2.0;
     ++b;
   }
-  ++retry_after_buckets_[b];
-}
-
-void RetrievalServer::record_latency(double ms) {
-  max_latency_ms_ = std::max(max_latency_ms_, ms);
-  if (latency_reservoir_.size() < config_.latency_reservoir) {
-    latency_reservoir_.push_back(ms);
-  } else {
-    // Algorithm R: sample i replaces a reservoir slot with probability R/i,
-    // keeping a uniform sample of everything observed so far.
-    const auto j = reservoir_rng_.uniform_index(
-        static_cast<std::uint64_t>(latency_count_) + 1);
-    if (j < latency_reservoir_.size()) latency_reservoir_[j] = ms;
-  }
-  ++latency_count_;
+  ++buckets[b];
 }
 
 ServerStats RetrievalServer::stats() const {
   ServerStats out;
   out.server_epoch = epoch_.load(std::memory_order_relaxed);
-  std::vector<double> latencies;
-  std::map<std::string, std::vector<double>> client_latencies;
   const double now_ms = clock_->now_ms();  // clock read outside the lock
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
-    out.queries_served = queries_served_;
-    out.batches = batches_;
-    out.faults_injected = faults_injected_;
-    out.requests_throttled = requests_throttled_;
-    out.requests_rejected = requests_rejected_;
-    out.requests_shed = requests_shed_;
-    out.requests_expired = requests_expired_;
-    out.requests_lost = requests_lost_;
-    out.crashes = crashes_;
-    out.batch_size_counts = batch_size_counts_;
-    out.latency_count = latency_count_;
-    out.latency_samples_retained =
-        static_cast<std::int64_t>(latency_reservoir_.size());
-    out.max_latency_ms = max_latency_ms_;
-    out.degrade_entries = degrade_entries_;
+    static_cast<Ledger&>(out) = ledger_;
     out.degraded_now = degraded_stat_;
-    out.degraded_served = degraded_served_;
     // An open degraded stint counts up to the snapshot, so degraded_ms is
     // monotone in time, not only at exit ticks.
     out.degraded_ms =
-        degraded_accum_ms_ +
+        ledger_.degraded_accum_ms +
         (degraded_stat_ ? std::max(0.0, now_ms - degraded_since_ms_) : 0.0);
-    out.occupancy_deciles = occupancy_deciles_;
-    out.retry_after_buckets = retry_after_buckets_;
-    latencies = latency_reservoir_;
-    for (const auto& [id, acc] : clients_) {
-      ClientStats cs;
-      cs.served = acc.served;
-      cs.faulted = acc.faulted;
-      cs.throttled = acc.throttled;
-      cs.rejected = acc.rejected;
-      cs.shed = acc.shed;
-      cs.expired = acc.expired;
-      cs.lost = acc.lost;
-      cs.latency_count = acc.latency_count;
-      cs.max_latency_ms = acc.max_latency_ms;
-      out.per_client.emplace(id, cs);
-      client_latencies.emplace(id, acc.reservoir);
-    }
   }
-  out.p50_latency_ms = percentile(latencies, 0.50);
-  out.p95_latency_ms = percentile(latencies, 0.95);
-  for (auto& [id, xs] : client_latencies) {
-    auto& cs = out.per_client[id];
-    cs.p50_latency_ms = percentile(xs, 0.50);
-    cs.p95_latency_ms = percentile(xs, 0.95);
-  }
+  out.latency_samples_retained =
+      static_cast<std::int64_t>(out.latency.samples.size());
+  out.p50_latency_ms = out.latency.percentile(0.50);
+  out.p95_latency_ms = out.latency.percentile(0.95);
   return out;
 }
 
@@ -830,32 +710,24 @@ double RetrievalServer::client_rate() const {
   return limiter_ == nullptr ? 0.0 : limiter_->rate();
 }
 
+Ledger RetrievalServer::fresh_ledger() const {
+  Ledger ledger;
+  ledger.batch_size_counts.assign(config_.max_batch + 1, 0);
+  ledger.occupancy_deciles.assign(11, 0);
+  ledger.retry_after_buckets.assign(12, 0);
+  ledger.latency.samples.reserve(config_.latency_reservoir);
+  ledger.latency.rng = Rng(kReservoirSeed);
+  return ledger;
+}
+
 void RetrievalServer::reset_stats() {
   const double now_ms = clock_->now_ms();
+  Ledger fresh = fresh_ledger();
   std::lock_guard<std::mutex> lock(stats_mutex_);
-  queries_served_ = 0;
-  batches_ = 0;
-  faults_injected_ = 0;
-  requests_throttled_ = 0;
-  requests_rejected_ = 0;
-  requests_shed_ = 0;
-  requests_expired_ = 0;
-  requests_lost_ = 0;
-  crashes_ = 0;
-  std::fill(batch_size_counts_.begin(), batch_size_counts_.end(), 0);
-  std::fill(occupancy_deciles_.begin(), occupancy_deciles_.end(), 0);
-  std::fill(retry_after_buckets_.begin(), retry_after_buckets_.end(), 0);
-  degrade_entries_ = 0;
-  degraded_accum_ms_ = 0.0;
-  degraded_served_ = 0;
+  ledger_ = std::move(fresh);
   // A reset during an open degraded stint restarts the stint's clock; the
   // ladder state itself (degraded or not) is serving reality, not a stat.
   if (degraded_stat_) degraded_since_ms_ = now_ms;
-  latency_reservoir_.clear();
-  latency_count_ = 0;
-  max_latency_ms_ = 0.0;
-  reservoir_rng_ = Rng(kReservoirSeed);
-  clients_.clear();
 }
 
 }  // namespace duo::serve

@@ -56,8 +56,11 @@
 // stall the answer, drops abandon the promise (the future surfaces
 // std::future_error{broken_promise}), and fatal faults fail it with a
 // non-retryable ServeError. The backend work still happens, so every
-// injected fault is billed; see serve/fault_injection.hpp.
+// injected fault is billed; see serve/fault_injection.hpp. A backend
+// failure (extract_batch or the index lookup throwing) fails its requests
+// with a billed, non-retryable kFatal. Both count as faulted in the Ledger.
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -147,74 +150,79 @@ struct RequestOptions {
   bool has_deadline() const noexcept { return ttl_ms != 0.0; }
 };
 
-// Per-client slice of the server-side accounting, keyed by
-// RequestOptions::client_id. Billing semantics mirror the global counters:
+// Algorithm R over request latencies: a uniform sample of at most `cap` of
+// the `count` latencies recorded so far, plus the exact max over all of
+// them. The replacement stream is part of the value, so a restored
+// reservoir continues the pre-crash retention decisions exactly.
+struct LatencyReservoir {
+  std::vector<double> samples;
+  std::int64_t count = 0;
+  double max_ms = 0.0;
+  Rng rng{0};
+
+  void record(double ms, std::size_t cap);
+  // Nearest-rank q-th percentile of the retained samples; 0 when empty.
+  double percentile(double q) const;
+
+  friend bool operator==(const LatencyReservoir&,
+                         const LatencyReservoir&) = default;
+};
+
+// One client's entry in the Ledger, keyed by RequestOptions::client_id.
 // served/faulted/expired/shed terminate accepted (billed) requests;
-// throttled/rejected turn-aways were never accepted (unbilled). The ledger
-// `billed == served + faulted + expired + shed` therefore holds per client,
-// not just globally. Latency percentiles come from a bounded per-client
-// reservoir of ServerConfig::client_latency_reservoir samples.
-struct ClientStats {
+// throttled/rejected turn-aways were never accepted (unbilled). `faulted`
+// covers injected faults, crash losses and backend failures (extraction or
+// index lookup throwing); `lost` is the crash-loss subset of it, so the
+// billing identity holds verbatim across crashes. The reservoir keeps
+// ServerConfig::client_latency_reservoir samples, its stream seeded from the
+// id so the retained set is a pure function of this client's latencies.
+struct ClientLedger {
   std::int64_t served = 0;
   std::int64_t faulted = 0;
   std::int64_t throttled = 0;
   std::int64_t rejected = 0;
   std::int64_t shed = 0;
   std::int64_t expired = 0;
-  // Subset of `faulted`: accepted requests that died with the server in a
-  // crash (queued or in flight). Folding them into faulted keeps the ledger
-  // formula unchanged across crashes; `lost` preserves the breakdown.
   std::int64_t lost = 0;
-  std::int64_t latency_count = 0;
-  double p50_latency_ms = 0.0;
-  double p95_latency_ms = 0.0;
-  double max_latency_ms = 0.0;
+  LatencyReservoir latency;
 
   // Queries the victim billed this client for.
   std::int64_t billed() const noexcept {
     return served + faulted + expired + shed;
   }
+  // The counters in Ledger::counters() order, for whole-set sums and
+  // comparisons.
+  std::array<std::int64_t, 7> counters() const noexcept {
+    return {served, faulted, throttled, rejected, shed, expired, lost};
+  }
+
+  friend bool operator==(const ClientLedger&, const ClientLedger&) = default;
 };
 
-// Snapshot of server-side accounting (see RetrievalServer::stats).
-struct ServerStats {
+// The server's billing ledger: every counter, histogram and reservoir that
+// must survive a crash for billing to reconcile. The identity
+//   billed == served + faulted + expired + shed
+// holds globally (billed()) and per client (ClientLedger::billed()), and
+// the client entries sum to the global counters (clients_sum_to_counters).
+// One value type serves as the live accounting (under the server's stats
+// mutex), the crash snapshot and the base of ServerStats.
+struct Ledger {
   std::int64_t queries_served = 0;   // futures fulfilled with a value
   std::int64_t batches = 0;          // scheduler ticks that processed work
-  std::int64_t faults_injected = 0;  // requests failed/dropped by injection
-  // Overload accounting. throttled/rejected were never accepted (unbilled);
-  // expired/shed were accepted and then discarded (billed).
+  // Requests failed or dropped after acceptance: injected faults, crash
+  // losses and backend failures (ClientLedger::faulted, summed).
+  std::int64_t faults_injected = 0;
   std::int64_t requests_throttled = 0;  // per-client rate limit denials
   std::int64_t requests_rejected = 0;   // admission kReject turn-aways
   std::int64_t requests_shed = 0;       // evicted by admission kShed
   std::int64_t requests_expired = 0;    // deadline passed while queued
-  // Crash accounting. requests_lost counts accepted requests that died with
-  // the server (a subset of faults_injected, so the billing ledger
-  // `billed == served + faulted + expired + shed` holds verbatim across
-  // crashes); crashes counts crash() calls; server_epoch starts at 1 and
-  // increments on every restart — a client that saw epoch N+1 knows every
-  // request it had in flight during epoch N is gone.
+  // Accepted requests that died with the server (a subset of
+  // faults_injected), and the number of crash() calls.
   std::int64_t requests_lost = 0;
   std::int64_t crashes = 0;
-  std::int64_t server_epoch = 1;
   // batch_size_counts[s] = number of ticks that drained exactly s requests;
   // index 0 is unused, size() == max_batch + 1.
   std::vector<std::int64_t> batch_size_counts;
-  // Per-request submit→fulfill wall latency. Percentiles are estimated over
-  // a bounded uniform reservoir of `latency_samples_retained` samples out of
-  // `latency_count` observed; the max is exact over all samples.
-  std::int64_t latency_count = 0;
-  std::int64_t latency_samples_retained = 0;
-  double p50_latency_ms = 0.0;
-  double p95_latency_ms = 0.0;
-  double max_latency_ms = 0.0;
-  // Degradation observability: entries into degraded mode, total clock time
-  // spent degraded (including the current stint when degraded_now), whether
-  // the server is degraded at snapshot time, and how many answers were
-  // served while degraded (the requests whose recall may be reduced).
-  std::int64_t degrade_entries = 0;
-  double degraded_ms = 0.0;
-  bool degraded_now = false;
-  std::int64_t degraded_served = 0;
   // occupancy_deciles[d] = scheduler ticks whose tick-start queue occupancy
   // was in [d, d+1) tenths of queue_capacity; index 10 counts ticks at (or
   // beyond) full. size() == 11.
@@ -224,11 +232,60 @@ struct ServerStats {
   // hints <= 1 ms, bucket b holds (2^(b-1), 2^b] ms, the last bucket
   // everything beyond ~1 s. size() == 12.
   std::vector<std::int64_t> retry_after_buckets;
-  // Per-client breakdown keyed by RequestOptions::client_id (std::map for
-  // deterministic iteration order in reports). Every counter above is the
-  // sum of the per-client slices plus, for latency percentiles, the global
-  // reservoir's own estimate.
-  std::map<std::string, ClientStats> per_client;
+  // Per-request submit→fulfill wall latency; the reservoir keeps
+  // ServerConfig::latency_reservoir samples.
+  LatencyReservoir latency;
+  // Degradation totals: entries into degraded mode, clock time spent in
+  // completed degraded stints, and answers served while degraded (the
+  // requests whose recall may be reduced).
+  std::int64_t degrade_entries = 0;
+  double degraded_accum_ms = 0.0;
+  std::int64_t degraded_served = 0;
+  // std::map: deterministic (sorted) iteration in reports and snapshots.
+  std::map<std::string, ClientLedger> clients;
+
+  // Queries the victim billed in total.
+  std::int64_t billed() const noexcept {
+    return queries_served + faults_injected + requests_expired +
+           requests_shed;
+  }
+  // The global counters in ClientLedger::counters() order.
+  std::array<std::int64_t, 7> counters() const noexcept {
+    return {queries_served,    faults_injected,  requests_throttled,
+            requests_rejected, requests_shed,    requests_expired,
+            requests_lost};
+  }
+  // Whether the client entries sum to the global counters, counter by
+  // counter — no request double-counted or missing between the two.
+  bool clients_sum_to_counters() const noexcept {
+    std::array<std::int64_t, 7> sum{};
+    for (const auto& [id, c] : clients) {
+      const auto counts = c.counters();
+      for (std::size_t k = 0; k < sum.size(); ++k) sum[k] += counts[k];
+    }
+    return sum == counters();
+  }
+
+  friend bool operator==(const Ledger&, const Ledger&) = default;
+};
+
+// RetrievalServer::stats(): the ledger plus values derived from it at read
+// time. Per-client percentiles come from each client's reservoir
+// (clients.at(id).latency.percentile(q)).
+struct ServerStats : Ledger {
+  // Restart generation: starts at 1 and increments on every restart — a
+  // client that saw epoch N+1 knows every request it had in flight during
+  // epoch N is gone.
+  std::int64_t server_epoch = 1;
+  // Percentiles over the global reservoir, which retains
+  // `latency_samples_retained` of the `latency.count` observed latencies.
+  std::int64_t latency_samples_retained = 0;
+  double p50_latency_ms = 0.0;
+  double p95_latency_ms = 0.0;
+  // Whether the server is degraded at read time, and total clock time spent
+  // degraded including the current stint.
+  bool degraded_now = false;
+  double degraded_ms = 0.0;
 
   double mean_batch_size() const noexcept {
     return batches == 0
@@ -239,60 +296,17 @@ struct ServerStats {
 };
 
 // Everything a RetrievalServer must persist for billing reconciliation to
-// hold across a crash/restart: the global counters and histograms, the
-// latency reservoirs (with their replacement-Rng states, so post-restart
-// retention decisions continue the pre-crash stream exactly), every
-// per-client ledger slice, the per-client token-bucket levels, and the
-// degradation accounting. Deliberately NOT included: queue contents (a crash
-// loses in-flight work — that is the point; the lost requests are already
-// terminally accounted as faulted+lost), the live degraded bit (recovery
-// restores the configured index mode; the hysteresis ladder re-enters on its
-// own), and the gallery index (snapshotted separately via
-// RetrievalSystem::save_gallery_index). Serialize with save_snapshot /
-// load_snapshot below.
+// hold across a crash/restart: the ledger (with its reservoirs'
+// replacement-Rng states) and the per-client token-bucket levels.
+// Deliberately NOT included: queue contents (a crash loses in-flight work —
+// that is the point; the lost requests are already terminally accounted as
+// faulted+lost), the live degraded bit (recovery restores the configured
+// index mode; the hysteresis ladder re-enters on its own), and the gallery
+// index (snapshotted separately via RetrievalSystem::save_gallery_index).
+// Serialize with save_snapshot / load_snapshot below.
 struct ServerSnapshot {
   std::int64_t epoch = 1;
-
-  std::int64_t queries_served = 0;
-  std::int64_t batches = 0;
-  std::int64_t faults_injected = 0;
-  std::int64_t requests_throttled = 0;
-  std::int64_t requests_rejected = 0;
-  std::int64_t requests_shed = 0;
-  std::int64_t requests_expired = 0;
-  std::int64_t requests_lost = 0;
-  std::int64_t crashes = 0;
-  std::vector<std::int64_t> batch_size_counts;
-  std::vector<std::int64_t> occupancy_deciles;
-  std::vector<std::int64_t> retry_after_buckets;
-
-  std::vector<double> latency_reservoir;
-  std::int64_t latency_count = 0;
-  double max_latency_ms = 0.0;
-  std::uint64_t reservoir_rng_state = 0;
-
-  std::int64_t degrade_entries = 0;
-  double degraded_accum_ms = 0.0;
-  std::int64_t degraded_served = 0;
-
-  struct ClientSlice {
-    std::string id;
-    std::int64_t served = 0;
-    std::int64_t faulted = 0;
-    std::int64_t throttled = 0;
-    std::int64_t rejected = 0;
-    std::int64_t shed = 0;
-    std::int64_t expired = 0;
-    std::int64_t lost = 0;
-    std::vector<double> reservoir;
-    std::int64_t latency_count = 0;
-    double max_latency_ms = 0.0;
-    std::uint64_t rng_state = 0;
-
-    friend bool operator==(const ClientSlice&, const ClientSlice&) = default;
-  };
-  std::vector<ClientSlice> clients;  // sorted by id
-
+  Ledger ledger;
   bool has_limiter = false;
   RateLimiter::State limiter;  // meaningful only when has_limiter
 
@@ -390,8 +404,8 @@ class RetrievalServer {
   // Monotone restart generation, starting at 1. Stamped into ServerStats.
   std::int64_t epoch() const noexcept;
 
-  // Consistent snapshot of the accounting counters. Percentiles come from a
-  // bounded reservoir (see ServerStats); reset_stats restarts the reservoir.
+  // Consistent copy of the ledger plus the values derived from it (see
+  // ServerStats). reset_stats replaces the ledger with an empty one.
   ServerStats stats() const;
   void reset_stats();
 
@@ -421,24 +435,6 @@ class RetrievalServer {
     std::string client_id;     // RequestOptions::client_id, for attribution
   };
 
-  // Mutable per-client accounting slice (guarded by stats_mutex_). Each
-  // client gets its own Algorithm-R reservoir seeded from its id, so the
-  // retained sample set is a pure function of that client's latency
-  // sequence — independent of how other clients' requests interleave.
-  struct ClientAccounting {
-    std::int64_t served = 0;
-    std::int64_t faulted = 0;
-    std::int64_t throttled = 0;
-    std::int64_t rejected = 0;
-    std::int64_t shed = 0;
-    std::int64_t expired = 0;
-    std::int64_t lost = 0;  // subset of faulted (crash casualties)
-    std::vector<double> reservoir;
-    std::int64_t latency_count = 0;
-    double max_latency_ms = 0.0;
-    Rng rng{0};
-  };
-
   void start();
   // Join the scheduler thread; serializes racing callers and is idempotent
   // (late callers see an unjoinable thread). A mutex instead of the old
@@ -448,6 +444,11 @@ class RetrievalServer {
   // Fail `lost` requests with ServeError{kConnectionLost, billed=true} and
   // account them as faulted+lost, globally and per client.
   void fail_lost(std::vector<Request>& lost);
+  // Account `requests` as faulted (and, when `lost`, as crash losses),
+  // globally and per client. Takes stats_mutex_.
+  void count_faulted(const std::vector<Request>& requests, bool lost);
+  // An empty ledger shaped for this server's configuration.
+  Ledger fresh_ledger() const;
   // Shared restart path (snap == nullptr → fresh accounting).
   void restart_internal(const ServerSnapshot* snap);
   // Shared enqueue path: nullptr deadline = wait forever. Returns false
@@ -460,12 +461,9 @@ class RetrievalServer {
   // queued requests (also records the occupancy histogram). Called from the
   // scheduler thread only, outside mutex_.
   void update_degradation(std::size_t occupancy);
-  void record_latency(double ms);          // requires stats_mutex_ held
   void record_retry_after(double hint_ms);  // requires stats_mutex_ held
-  // Lazily creates the client's slice. Requires stats_mutex_ held.
-  ClientAccounting& client_slot(const std::string& client_id);
-  static void record_client_latency(ClientAccounting& c, double ms,
-                                    std::size_t reservoir_cap);
+  // Lazily creates the client's entry. Requires stats_mutex_ held.
+  ClientLedger& client_slot(const std::string& client_id);
 
   std::unique_ptr<retrieval::RetrievalSystem> owned_;  // empty when borrowed
   retrieval::RetrievalSystem& system_;
@@ -487,33 +485,13 @@ class RetrievalServer {
   std::mutex join_mutex_;  // serializes the scheduler join across racers
 
   mutable std::mutex stats_mutex_;
-  std::int64_t queries_served_ = 0;
-  std::int64_t batches_ = 0;
-  std::int64_t faults_injected_ = 0;
-  std::int64_t requests_throttled_ = 0;
-  std::int64_t requests_rejected_ = 0;
-  std::int64_t requests_shed_ = 0;
-  std::int64_t requests_expired_ = 0;
-  std::int64_t requests_lost_ = 0;
-  std::int64_t crashes_ = 0;
-  std::vector<std::int64_t> batch_size_counts_;
-  // Algorithm-R reservoir over latencies + exact running max and count.
-  std::vector<double> latency_reservoir_;
-  std::int64_t latency_count_ = 0;
-  double max_latency_ms_ = 0.0;
-  Rng reservoir_rng_{kReservoirSeed};
-  std::map<std::string, ClientAccounting> clients_;
+  Ledger ledger_;  // guarded by stats_mutex_
   // Degradation ladder state. degraded_mode_ is the scheduler thread's
-  // private view (no lock); everything below it is the stats mirror under
+  // private view (no lock); the open stint below is its mirror under
   // stats_mutex_, from which stats() reports.
   bool degraded_mode_ = false;
-  std::int64_t degrade_entries_ = 0;
-  double degraded_accum_ms_ = 0.0;   // completed stints
   double degraded_since_ms_ = 0.0;   // start of the current stint
   bool degraded_stat_ = false;       // mirror of degraded_mode_
-  std::int64_t degraded_served_ = 0;
-  std::vector<std::int64_t> occupancy_deciles_;
-  std::vector<std::int64_t> retry_after_buckets_;
 
   std::thread scheduler_;  // last member: started after everything above
 };

@@ -31,42 +31,69 @@ bool read_bool(std::istream& in, bool& b) {
   return true;
 }
 
-void write_payload(std::ostream& out, const ServerSnapshot& snap) {
-  io::write_i64(out, snap.epoch);
-  io::write_i64(out, snap.queries_served);
-  io::write_i64(out, snap.batches);
-  io::write_i64(out, snap.faults_injected);
-  io::write_i64(out, snap.requests_throttled);
-  io::write_i64(out, snap.requests_rejected);
-  io::write_i64(out, snap.requests_shed);
-  io::write_i64(out, snap.requests_expired);
-  io::write_i64(out, snap.requests_lost);
-  io::write_i64(out, snap.crashes);
-  io::write_i64_vec(out, snap.batch_size_counts);
-  io::write_i64_vec(out, snap.occupancy_deciles);
-  io::write_i64_vec(out, snap.retry_after_buckets);
-  io::write_f64_vec(out, snap.latency_reservoir);
-  io::write_i64(out, snap.latency_count);
-  io::write_f64(out, snap.max_latency_ms);
-  io::write_u64(out, snap.reservoir_rng_state);
-  io::write_i64(out, snap.degrade_entries);
-  io::write_f64(out, snap.degraded_accum_ms);
-  io::write_i64(out, snap.degraded_served);
-  io::write_i64(out, static_cast<std::int64_t>(snap.clients.size()));
-  for (const auto& c : snap.clients) {
-    io::write_string(out, c.id);
-    io::write_i64(out, c.served);
-    io::write_i64(out, c.faulted);
-    io::write_i64(out, c.throttled);
-    io::write_i64(out, c.rejected);
-    io::write_i64(out, c.shed);
-    io::write_i64(out, c.expired);
-    io::write_i64(out, c.lost);
-    io::write_f64_vec(out, c.reservoir);
-    io::write_i64(out, c.latency_count);
-    io::write_f64(out, c.max_latency_ms);
-    io::write_u64(out, c.rng_state);
+void write_reservoir(std::ostream& out, const LatencyReservoir& r) {
+  io::write_f64_vec(out, r.samples);
+  io::write_i64(out, r.count);
+  io::write_f64(out, r.max_ms);
+  io::write_u64(out, r.rng.state());
+}
+
+// A reservoir holds a sample of the latencies counted so far, so its count
+// can never be below its size. Algorithm R draws a slot from [0, count] once
+// the reservoir is full; a smaller count would draw from an empty range.
+bool read_reservoir(std::istream& in, LatencyReservoir& r) {
+  std::uint64_t rng_state = 0;
+  if (!io::read_f64_vec(in, r.samples) || !io::read_i64(in, r.count) ||
+      r.count < static_cast<std::int64_t>(r.samples.size()) ||
+      !io::read_f64(in, r.max_ms) || !io::read_u64(in, rng_state)) {
+    return false;
   }
+  r.rng = Rng(rng_state);
+  return true;
+}
+
+void write_client(std::ostream& out, const std::string& id,
+                  const ClientLedger& c) {
+  io::write_string(out, id);
+  io::write_i64(out, c.served);
+  io::write_i64(out, c.faulted);
+  io::write_i64(out, c.throttled);
+  io::write_i64(out, c.rejected);
+  io::write_i64(out, c.shed);
+  io::write_i64(out, c.expired);
+  io::write_i64(out, c.lost);
+  write_reservoir(out, c.latency);
+}
+
+bool read_client(std::istream& in, std::string& id, ClientLedger& c) {
+  return io::read_string(in, id) && io::read_i64(in, c.served) &&
+         io::read_i64(in, c.faulted) && io::read_i64(in, c.throttled) &&
+         io::read_i64(in, c.rejected) && io::read_i64(in, c.shed) &&
+         io::read_i64(in, c.expired) && io::read_i64(in, c.lost) &&
+         read_reservoir(in, c.latency);
+}
+
+void write_payload(std::ostream& out, const ServerSnapshot& snap) {
+  const Ledger& l = snap.ledger;
+  io::write_i64(out, snap.epoch);
+  io::write_i64(out, l.queries_served);
+  io::write_i64(out, l.batches);
+  io::write_i64(out, l.faults_injected);
+  io::write_i64(out, l.requests_throttled);
+  io::write_i64(out, l.requests_rejected);
+  io::write_i64(out, l.requests_shed);
+  io::write_i64(out, l.requests_expired);
+  io::write_i64(out, l.requests_lost);
+  io::write_i64(out, l.crashes);
+  io::write_i64_vec(out, l.batch_size_counts);
+  io::write_i64_vec(out, l.occupancy_deciles);
+  io::write_i64_vec(out, l.retry_after_buckets);
+  write_reservoir(out, l.latency);
+  io::write_i64(out, l.degrade_entries);
+  io::write_f64(out, l.degraded_accum_ms);
+  io::write_i64(out, l.degraded_served);
+  io::write_i64(out, static_cast<std::int64_t>(l.clients.size()));
+  for (const auto& [id, c] : l.clients) write_client(out, id, c);
   write_bool(out, snap.has_limiter);
   if (snap.has_limiter) {
     io::write_f64(out, snap.limiter.rate);
@@ -84,61 +111,36 @@ void write_payload(std::ostream& out, const ServerSnapshot& snap) {
   }
 }
 
-// A reservoir holds a sample of the latencies counted so far, so its count
-// can never be below its size. Algorithm R draws a slot from [0, count] once
-// the reservoir is full; a smaller count would draw from an empty range.
-bool count_covers(std::int64_t count, const std::vector<double>& reservoir) {
-  return count >= static_cast<std::int64_t>(reservoir.size());
-}
-
 bool read_payload(std::istream& in, ServerSnapshot& snap) {
+  Ledger& l = snap.ledger;
   if (!io::read_i64(in, snap.epoch) || snap.epoch < 1) return false;
-  if (!io::read_i64(in, snap.queries_served)) return false;
-  if (!io::read_i64(in, snap.batches)) return false;
-  if (!io::read_i64(in, snap.faults_injected)) return false;
-  if (!io::read_i64(in, snap.requests_throttled)) return false;
-  if (!io::read_i64(in, snap.requests_rejected)) return false;
-  if (!io::read_i64(in, snap.requests_shed)) return false;
-  if (!io::read_i64(in, snap.requests_expired)) return false;
-  if (!io::read_i64(in, snap.requests_lost)) return false;
-  if (!io::read_i64(in, snap.crashes)) return false;
-  if (!io::read_i64_vec(in, snap.batch_size_counts)) return false;
-  if (!io::read_i64_vec(in, snap.occupancy_deciles)) return false;
-  if (!io::read_i64_vec(in, snap.retry_after_buckets)) return false;
-  if (!io::read_f64_vec(in, snap.latency_reservoir)) return false;
-  if (!io::read_i64(in, snap.latency_count)) return false;
-  if (!count_covers(snap.latency_count, snap.latency_reservoir)) return false;
-  if (!io::read_f64(in, snap.max_latency_ms)) return false;
-  if (!io::read_u64(in, snap.reservoir_rng_state)) return false;
-  if (!io::read_i64(in, snap.degrade_entries)) return false;
-  if (!io::read_f64(in, snap.degraded_accum_ms)) return false;
-  if (!io::read_i64(in, snap.degraded_served)) return false;
+  if (!io::read_i64(in, l.queries_served)) return false;
+  if (!io::read_i64(in, l.batches)) return false;
+  if (!io::read_i64(in, l.faults_injected)) return false;
+  if (!io::read_i64(in, l.requests_throttled)) return false;
+  if (!io::read_i64(in, l.requests_rejected)) return false;
+  if (!io::read_i64(in, l.requests_shed)) return false;
+  if (!io::read_i64(in, l.requests_expired)) return false;
+  if (!io::read_i64(in, l.requests_lost)) return false;
+  if (!io::read_i64(in, l.crashes)) return false;
+  if (!io::read_i64_vec(in, l.batch_size_counts)) return false;
+  if (!io::read_i64_vec(in, l.occupancy_deciles)) return false;
+  if (!io::read_i64_vec(in, l.retry_after_buckets)) return false;
+  if (!read_reservoir(in, l.latency)) return false;
+  if (!io::read_i64(in, l.degrade_entries)) return false;
+  if (!io::read_f64(in, l.degraded_accum_ms)) return false;
+  if (!io::read_i64(in, l.degraded_served)) return false;
   std::int64_t client_count = 0;
   if (!io::read_i64(in, client_count)) return false;
   if (client_count < 0 || client_count > (1 << 24)) return false;
-  snap.clients.clear();
-  snap.clients.reserve(static_cast<std::size_t>(client_count));
-  std::string prev_id;
   for (std::int64_t i = 0; i < client_count; ++i) {
-    ServerSnapshot::ClientSlice c;
-    if (!io::read_string(in, c.id)) return false;
-    // The writer emits slices sorted by id; enforce it so a restored ledger
-    // cannot smuggle in duplicate client slices.
-    if (i > 0 && c.id <= prev_id) return false;
-    prev_id = c.id;
-    if (!io::read_i64(in, c.served)) return false;
-    if (!io::read_i64(in, c.faulted)) return false;
-    if (!io::read_i64(in, c.throttled)) return false;
-    if (!io::read_i64(in, c.rejected)) return false;
-    if (!io::read_i64(in, c.shed)) return false;
-    if (!io::read_i64(in, c.expired)) return false;
-    if (!io::read_i64(in, c.lost)) return false;
-    if (!io::read_f64_vec(in, c.reservoir)) return false;
-    if (!io::read_i64(in, c.latency_count)) return false;
-    if (!count_covers(c.latency_count, c.reservoir)) return false;
-    if (!io::read_f64(in, c.max_latency_ms)) return false;
-    if (!io::read_u64(in, c.rng_state)) return false;
-    snap.clients.push_back(std::move(c));
+    std::string id;
+    ClientLedger c;
+    if (!read_client(in, id, c)) return false;
+    // The writer emits entries sorted by id; enforce it so a restored ledger
+    // cannot smuggle in duplicate client entries.
+    if (!l.clients.empty() && id <= l.clients.rbegin()->first) return false;
+    l.clients.emplace_hint(l.clients.end(), std::move(id), std::move(c));
   }
   if (!read_bool(in, snap.has_limiter)) return false;
   snap.limiter = RateLimiter::State{};

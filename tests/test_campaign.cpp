@@ -348,13 +348,13 @@ TEST(Fairness, JainIndex) {
 
 TEST(Fairness, SummarizeDetectsLedgerMismatch) {
   serve::ServerStats stats;
-  serve::ClientStats a;
+  serve::ClientLedger a;
   a.served = 4;
   a.faulted = 1;
-  serve::ClientStats b;
+  serve::ClientLedger b;
   b.served = 2;
   b.throttled = 3;
-  stats.per_client = {{"a", a}, {"b", b}};
+  stats.clients = {{"a", a}, {"b", b}};
   stats.queries_served = 6;
   stats.faults_injected = 1;
   stats.requests_throttled = 3;
@@ -442,7 +442,7 @@ TEST(Campaign, MixedTrafficLedgerReconciles) {
   EXPECT_LE(out.fairness.jain_served, 1.0 + 1e-12);
   EXPECT_GT(out.pacer_granted, 0);
   for (const auto& spec : m.sessions) {
-    ASSERT_EQ(out.server.per_client.count(spec.client_id), 1u)
+    ASSERT_EQ(out.server.clients.count(spec.client_id), 1u)
         << spec.client_id;
   }
   for (const auto& s : out.sessions) {

@@ -6,8 +6,11 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <exception>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -20,6 +23,7 @@
 #include "baselines/vanilla.hpp"
 #include "common/rng.hpp"
 #include "fixtures.hpp"
+#include "models/serialization.hpp"
 #include "retrieval/index.hpp"
 #include "retrieval/ivf_index.hpp"
 #include "serve/admission.hpp"
@@ -272,44 +276,43 @@ TEST(CrashRecovery, TokenBucketAndRateLimiterStateRoundTrip) {
 serve::ServerSnapshot sample_snapshot() {
   serve::ServerSnapshot snap;
   snap.epoch = 3;
-  snap.queries_served = 17;
-  snap.batches = 9;
-  snap.faults_injected = 4;
-  snap.requests_throttled = 2;
-  snap.requests_rejected = 1;
-  snap.requests_shed = 1;
-  snap.requests_expired = 2;
-  snap.requests_lost = 3;
-  snap.crashes = 2;
-  snap.batch_size_counts = {0, 3, 4, 2};
-  snap.occupancy_deciles = {5, 2, 1, 0, 0, 0, 0, 0, 0, 0, 1};
-  snap.retry_after_buckets = {1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0};
-  snap.latency_reservoir = {0.5, 1.25, 9.0};
-  snap.latency_count = 17;
-  snap.max_latency_ms = 9.0;
-  snap.reservoir_rng_state = 0xABCDEF0123456789ULL;
-  snap.degrade_entries = 1;
-  snap.degraded_accum_ms = 12.5;
-  snap.degraded_served = 6;
-  serve::ServerSnapshot::ClientSlice a;
-  a.id = "alpha";
+  serve::Ledger& l = snap.ledger;
+  l.queries_served = 17;
+  l.batches = 9;
+  l.faults_injected = 4;
+  l.requests_throttled = 2;
+  l.requests_rejected = 1;
+  l.requests_shed = 1;
+  l.requests_expired = 2;
+  l.requests_lost = 3;
+  l.crashes = 2;
+  l.batch_size_counts = {0, 3, 4, 2};
+  l.occupancy_deciles = {5, 2, 1, 0, 0, 0, 0, 0, 0, 0, 1};
+  l.retry_after_buckets = {1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0};
+  l.latency.samples = {0.5, 1.25, 9.0};
+  l.latency.count = 17;
+  l.latency.max_ms = 9.0;
+  l.latency.rng = Rng(0xABCDEF0123456789ULL);
+  l.degrade_entries = 1;
+  l.degraded_accum_ms = 12.5;
+  l.degraded_served = 6;
+  serve::ClientLedger a;
   a.served = 10;
   a.faulted = 3;
   a.lost = 2;
-  a.reservoir = {0.5, 1.25};
-  a.latency_count = 10;
-  a.max_latency_ms = 1.25;
-  a.rng_state = 11;
-  serve::ServerSnapshot::ClientSlice b;
-  b.id = "beta";
+  a.latency.samples = {0.5, 1.25};
+  a.latency.count = 10;
+  a.latency.max_ms = 1.25;
+  a.latency.rng = Rng(11);
+  serve::ClientLedger b;
   b.served = 7;
   b.expired = 2;
   b.shed = 1;
-  b.reservoir = {9.0};
-  b.latency_count = 7;
-  b.max_latency_ms = 9.0;
-  b.rng_state = 22;
-  snap.clients = {a, b};
+  b.latency.samples = {9.0};
+  b.latency.count = 7;
+  b.latency.max_ms = 9.0;
+  b.latency.rng = Rng(22);
+  l.clients = {{"alpha", a}, {"beta", b}};
   snap.has_limiter = true;
   snap.limiter.rate = 5.0;
   snap.limiter.burst = 2.0;
@@ -318,6 +321,95 @@ serve::ServerSnapshot sample_snapshot() {
       {"beta", serve::TokenBucketState{5.0, 2.0, 2.0, 0.0, false}},
   };
   return snap;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+// DUOSN1 envelope: 8-byte magic, FNV-1a of the payload, payload size.
+constexpr std::size_t kEnvelopeBytes = 24;
+
+// The payload save_snapshot writes for `snap`, without its envelope.
+std::string snapshot_payload(const serve::ServerSnapshot& snap,
+                             const std::string& path) {
+  EXPECT_TRUE(serve::save_snapshot(snap, path));
+  return read_file(path).substr(kEnvelopeBytes);
+}
+
+// Wraps `payload` in a valid envelope (size and fingerprint recomputed), so
+// load_snapshot's parser runs on it rather than stopping at the digest.
+void write_enveloped(const std::string& payload, const std::string& path) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write("DUOSN1\0\0", 8);
+  const std::uint64_t fingerprint =
+      models::io::fnv1a(payload.data(), payload.size());
+  const auto size = static_cast<std::int64_t>(payload.size());
+  out.write(reinterpret_cast<const char*>(&fingerprint), 8);
+  out.write(reinterpret_cast<const char*>(&size), 8);
+  out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+}
+
+// Where a DUOSN1 payload keeps its length prefixes and client entries,
+// found by walking the format independently of the loader.
+struct PayloadLayout {
+  std::vector<std::size_t> length_prefixes;  // offsets of i64 lengths
+  std::vector<std::pair<std::size_t, std::size_t>> clients;  // [begin, end)
+};
+
+PayloadLayout walk_payload(const std::string& p) {
+  PayloadLayout out;
+  std::size_t at = 0;
+  const auto length = [&] {
+    std::int64_t n = 0;
+    std::memcpy(&n, p.data() + at, sizeof(n));
+    out.length_prefixes.push_back(at);
+    at += 8;
+    return static_cast<std::size_t>(n);
+  };
+  const auto skip_words = [&](std::size_t n) { at += 8 * n; };
+  const auto vec = [&] { skip_words(length()); };
+  const auto str = [&] { at += length(); };
+  const auto reservoir = [&] {
+    vec();          // samples
+    skip_words(3);  // count, max, rng state
+  };
+  skip_words(10);  // epoch and nine global counters
+  vec();           // batch-size histogram
+  vec();           // occupancy deciles
+  vec();           // retry-after buckets
+  reservoir();
+  skip_words(3);  // degradation totals
+  const std::size_t clients = length();
+  for (std::size_t i = 0; i < clients; ++i) {
+    const std::size_t begin = at;
+    str();
+    skip_words(7);  // served .. lost
+    reservoir();
+    out.clients.emplace_back(begin, at);
+  }
+  skip_words(3);  // has_limiter, rate, burst
+  const std::size_t buckets = length();
+  for (std::size_t i = 0; i < buckets; ++i) {
+    str();
+    skip_words(5);  // rate, burst, tokens, last_ms, primed
+  }
+  EXPECT_EQ(at, p.size());
+  return out;
+}
+
+// DUOSN1 is a durable format: a snapshot written by one build must load in
+// the next, so the sample's size and whole-file fingerprint are pinned.
+TEST(CrashRecovery, ServerSnapshotFormatIsPinned) {
+  const std::string path = ::testing::TempDir() + "duo_crash_pin.snap";
+  ASSERT_TRUE(serve::save_snapshot(sample_snapshot(), path));
+  const std::string bytes = read_file(path);
+  EXPECT_EQ(bytes.size(), 794u);
+  EXPECT_EQ(models::io::fnv1a(bytes.data(), bytes.size()),
+            0x47792b8eda8f7413ULL);
+  std::remove(path.c_str());
 }
 
 TEST(CrashRecovery, ServerSnapshotFileRoundTripsAndRejectsCorruption) {
@@ -353,12 +445,35 @@ TEST(CrashRecovery, ServerSnapshotFileRoundTripsAndRejectsCorruption) {
   }
   EXPECT_FALSE(serve::load_snapshot(loaded, path));
 
-  // Client slices out of order are structurally invalid (the snapshot
-  // contract says sorted-by-id); the loader rejects rather than trusting.
-  serve::ServerSnapshot unsorted = snap;
-  std::swap(unsorted.clients[0], unsorted.clients[1]);
-  ASSERT_TRUE(serve::save_snapshot(unsorted, path));
-  EXPECT_FALSE(serve::load_snapshot(loaded, path));
+  // Client entries out of order, or one id twice, are structurally invalid
+  // (the snapshot contract says sorted by id); the loader rejects rather
+  // than trusting. The Ledger's std::map cannot hold either, so both are
+  // crafted from the sample's bytes.
+  const std::string payload = snapshot_payload(snap, path);
+  const PayloadLayout layout = walk_payload(payload);
+  ASSERT_EQ(layout.clients.size(), 2u);
+  const auto [a_begin, a_end] = layout.clients[0];
+  const auto [b_begin, b_end] = layout.clients[1];
+  const std::string head = payload.substr(0, a_begin);
+  const std::string entry_a = payload.substr(a_begin, a_end - a_begin);
+  const std::string entry_b = payload.substr(b_begin, b_end - b_begin);
+  const std::string tail = payload.substr(b_end);
+  for (const auto& [label, crafted] :
+       {std::pair<std::string, std::string>{"out of order",
+                                            head + entry_b + entry_a + tail},
+        std::pair<std::string, std::string>{"duplicate id",
+                                            head + entry_a + entry_a + tail}}) {
+    write_enveloped(crafted, path);
+    serve::ServerSnapshot target = sample_snapshot();
+    target.epoch = 42;  // sentinel
+    const serve::ServerSnapshot expected = target;
+    EXPECT_FALSE(serve::load_snapshot(target, path)) << label;
+    EXPECT_TRUE(target == expected) << label;
+  }
+  // The same crafting with the entries in order loads back the sample.
+  write_enveloped(head + entry_a + entry_b + tail, path);
+  ASSERT_TRUE(serve::load_snapshot(loaded, path));
+  EXPECT_TRUE(loaded == snap);
   std::remove(path.c_str());
 }
 
@@ -375,15 +490,15 @@ TEST(CrashRecovery, ServerSnapshotRejectsCountBelowReservoirSize) {
                        : static_cast<std::int64_t>(reservoir_size) - 1;
     };
     serve::ServerSnapshot global = sample_snapshot();
-    global.latency_count = bad_count(global.latency_reservoir.size());
-    bad.emplace_back("global count " + std::to_string(global.latency_count),
-                     global);
-    for (std::size_t c = 0; c < global.clients.size(); ++c) {
+    auto& latency = global.ledger.latency;
+    latency.count = bad_count(latency.samples.size());
+    bad.emplace_back("global count " + std::to_string(latency.count), global);
+    for (const auto& [id, entry] : global.ledger.clients) {
       serve::ServerSnapshot client = sample_snapshot();
-      auto& slice = client.clients[c];
-      slice.latency_count = bad_count(slice.reservoir.size());
-      bad.emplace_back(
-          slice.id + " count " + std::to_string(slice.latency_count), client);
+      auto& reservoir = client.ledger.clients.at(id).latency;
+      reservoir.count = bad_count(reservoir.samples.size());
+      bad.emplace_back(id + " count " + std::to_string(reservoir.count),
+                       client);
     }
   }
   for (const auto& [label, snap] : bad) {
@@ -400,6 +515,109 @@ TEST(CrashRecovery, ServerSnapshotRejectsCountBelowReservoirSize) {
   EXPECT_TRUE(serve::load_snapshot(loaded, path));
   EXPECT_TRUE(loaded == sample_snapshot());
   std::remove(path.c_str());
+}
+
+// Hostile-input contract of load_snapshot, by seeded mutation inside the
+// envelope: every mutant gets a valid size and fingerprint, so the parser
+// itself meets bit flips, extreme bytes, truncations, splices of two valid
+// payloads and edits to every length prefix. The loader either rejects the
+// mutant and leaves its target untouched, or returns a snapshot that saves
+// to the bytes it was parsed from and loads back equal. ASan/UBSan runs
+// cover the parse.
+TEST(CrashRecovery, SnapshotLoaderSurvivesSeededMutation) {
+  const std::string path = ::testing::TempDir() + "duo_crash_fuzz.snap";
+  const std::string resaved = ::testing::TempDir() + "duo_crash_fuzz2.snap";
+  const std::string base = snapshot_payload(sample_snapshot(), path);
+  serve::ServerSnapshot other = sample_snapshot();
+  other.ledger.clients["gamma"].latency.samples = {3.0, 4.0, 5.0};
+  other.ledger.clients["gamma"].latency.count = 3;
+  other.has_limiter = false;
+  other.limiter = {};
+  const std::string donor = snapshot_payload(other, path);
+  const std::vector<std::size_t> prefixes = walk_payload(base).length_prefixes;
+  ASSERT_EQ(prefixes.size(), 12u);  // 4 vectors, 4 strings, 2 reservoirs,
+                                    // client and bucket counts
+
+  constexpr int kMutants = 12000;
+  constexpr unsigned char kExtremes[] = {0x00, 0x7F, 0x80, 0xFF};
+  const std::int64_t kLengths[] = {-1,
+                                   0,
+                                   1,
+                                   7,
+                                   1 << 20,
+                                   (1 << 20) + 1,
+                                   1 << 24,
+                                   (std::int64_t{1} << 24) + 1,
+                                   std::int64_t{1} << 31,
+                                   std::numeric_limits<std::int64_t>::max(),
+                                   std::numeric_limits<std::int64_t>::min()};
+  Rng rng(0xF022);
+  int loaded = 0;
+  int with_nan = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    std::string m = base;
+    const auto pick = [&](std::size_t n) {
+      return static_cast<std::size_t>(rng.uniform_index(n));
+    };
+    switch (i % 5) {
+      case 0:  // bit flip
+        m[pick(m.size())] ^= static_cast<char>(1u << pick(8));
+        break;
+      case 1:  // extreme byte
+        m[pick(m.size())] = static_cast<char>(kExtremes[pick(4)]);
+        break;
+      case 2:  // truncation
+        m.resize(pick(m.size()));
+        break;
+      case 3:  // splice: a prefix of one valid payload, a suffix of another
+        m = base.substr(0, pick(base.size() + 1)) +
+            donor.substr(pick(donor.size() + 1));
+        break;
+      default: {  // length prefix: each gets every extreme, then ±32
+        const auto k = static_cast<std::size_t>(i / 5);
+        const std::size_t at = prefixes[k % prefixes.size()];
+        const std::size_t round = k / prefixes.size();
+        std::int64_t value = 0;
+        std::memcpy(&value, m.data() + at, sizeof(value));
+        value = round < std::size(kLengths)
+                    ? kLengths[round]
+                    : value + static_cast<std::int64_t>(pick(65)) - 32;
+        std::memcpy(m.data() + at, &value, sizeof(value));
+        break;
+      }
+    }
+    write_enveloped(m, path);
+    serve::ServerSnapshot target = sample_snapshot();
+    target.epoch = 42;  // sentinel
+    const serve::ServerSnapshot expected = target;
+    if (!serve::load_snapshot(target, path)) {
+      ASSERT_TRUE(target == expected) << "mutant " << i << " touched target";
+      continue;
+    }
+    ++loaded;
+    // Lossless: the result saves back to exactly the bytes it was parsed
+    // from (a mutant may carry trailing bytes the parser never reads), and
+    // those bytes load back equal.
+    ASSERT_TRUE(serve::save_snapshot(target, resaved)) << "mutant " << i;
+    const std::string saved = read_file(resaved).substr(kEnvelopeBytes);
+    ASSERT_EQ(m.substr(0, saved.size()), saved) << "mutant " << i;
+    serve::ServerSnapshot again;
+    ASSERT_TRUE(serve::load_snapshot(again, resaved)) << "mutant " << i;
+    if (target == target) {
+      ASSERT_TRUE(again == target) << "mutant " << i;
+    } else {  // a NaN field compares unequal to itself: compare bytes
+      ++with_nan;
+      ASSERT_TRUE(serve::save_snapshot(again, resaved)) << "mutant " << i;
+      ASSERT_EQ(read_file(resaved).substr(kEnvelopeBytes), saved)
+          << "mutant " << i;
+    }
+  }
+  std::printf("snapshot mutants: %d of %d loaded (%d holding a NaN)\n",
+              loaded, kMutants, with_nan);
+  EXPECT_GT(loaded, 0);
+  EXPECT_LT(loaded, kMutants);
+  std::remove(path.c_str());
+  std::remove(resaved.c_str());
 }
 
 // The core lifecycle: crash() fails every queued request as a billed
@@ -455,13 +673,13 @@ TEST(CrashRecovery, CrashFailsQueuedRequestsBilledAndRestartResumes) {
 
   serve::ServerSnapshot snap = server.snapshot();
   EXPECT_EQ(snap.epoch, 1);
-  EXPECT_EQ(snap.requests_lost, 2);
-  EXPECT_EQ(snap.faults_injected, 2);
-  EXPECT_EQ(snap.crashes, 1);
-  ASSERT_EQ(snap.clients.size(), 1u);
-  EXPECT_EQ(snap.clients[0].id, "crash-client");
-  EXPECT_EQ(snap.clients[0].lost, 2);
-  EXPECT_EQ(snap.clients[0].faulted, 2);
+  EXPECT_EQ(snap.ledger.requests_lost, 2);
+  EXPECT_EQ(snap.ledger.faults_injected, 2);
+  EXPECT_EQ(snap.ledger.crashes, 1);
+  ASSERT_EQ(snap.ledger.clients.size(), 1u);
+  EXPECT_EQ(snap.ledger.clients.begin()->first, "crash-client");
+  EXPECT_EQ(snap.ledger.clients.begin()->second.lost, 2);
+  EXPECT_EQ(snap.ledger.clients.begin()->second.faulted, 2);
 
   server.restart(snap);
   EXPECT_FALSE(server.stopped());
@@ -482,14 +700,14 @@ TEST(CrashRecovery, CrashFailsQueuedRequestsBilledAndRestartResumes) {
   EXPECT_EQ(st.queries_served + st.faults_injected + st.requests_expired +
                 st.requests_shed,
             3);
-  const auto it = st.per_client.find("crash-client");
-  ASSERT_NE(it, st.per_client.end());
+  const auto it = st.clients.find("crash-client");
+  ASSERT_NE(it, st.clients.end());
   EXPECT_EQ(it->second.billed(), 3);
   EXPECT_EQ(it->second.lost, 2);
 
   // A snapshot with mangled histogram shapes must not restore.
   serve::ServerSnapshot bad = server.snapshot();
-  bad.occupancy_deciles.resize(2);
+  bad.ledger.occupancy_deciles.resize(2);
   EXPECT_THROW(server.restart(bad), std::logic_error);
 }
 
@@ -568,7 +786,7 @@ TEST(CrashRecovery, PipelinedPairReplaysAcrossRestartBitwise) {
   auto minus = resilient.submit(v_minus, 8);
   server.crash();
   serve::ServerSnapshot snap = server.snapshot();
-  EXPECT_EQ(snap.requests_lost, 2);
+  EXPECT_EQ(snap.ledger.requests_lost, 2);
   server.restart(snap);
 
   // get() classifies the connection loss, waits out the downtime (already
@@ -589,8 +807,8 @@ TEST(CrashRecovery, PipelinedPairReplaysAcrossRestartBitwise) {
   EXPECT_EQ(st.queries_served + st.faults_injected + st.requests_expired +
                 st.requests_shed,
             resilient.queries_billed());
-  const auto it = st.per_client.find("attacker");
-  ASSERT_NE(it, st.per_client.end());
+  const auto it = st.clients.find("attacker");
+  ASSERT_NE(it, st.clients.end());
   EXPECT_EQ(it->second.billed(), 4);
   EXPECT_EQ(it->second.lost, 2);
 }
@@ -662,7 +880,7 @@ TEST(CrashRecovery, SparseAttackSurvivesCrashRestartCyclesBitwise) {
   EXPECT_EQ(server_billed, resilient.queries_billed());
   std::int64_t client_sum = 0;
   std::int64_t lost_sum = 0;
-  for (const auto& [id, c] : st.per_client) {
+  for (const auto& [id, c] : st.clients) {
     client_sum += c.billed();
     lost_sum += c.lost;
   }

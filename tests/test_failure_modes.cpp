@@ -10,6 +10,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "attack/checkpoint.hpp"
@@ -29,6 +30,7 @@
 #include "serve/admission.hpp"
 #include "serve/async_handle.hpp"
 #include "serve/clock.hpp"
+#include "serve/errors.hpp"
 #include "serve/fault_injection.hpp"
 #include "serve/resilient.hpp"
 #include "serve/server.hpp"
@@ -54,6 +56,54 @@ void expect_bitwise_equal(const Tensor& got, const Tensor& want,
     ASSERT_EQ(got[i], want[i]) << label << " diverges at element " << i;
   }
 }
+
+// The synchronous victim with faults: applies a FaultInjector schedule to
+// direct retrieve() calls, the non-served counterpart of
+// ServerConfig::fault_injector. Injected faults throw ServeError with
+// billed=true — the backend did (or would have done) the forward pass; only
+// the answer is lost. kDelay sleeps, then answers. Like the system it wraps,
+// it is NOT safe for concurrent retrieve calls.
+class FaultySystem {
+ public:
+  FaultySystem(retrieval::RetrievalSystem& system, serve::FaultConfig config)
+      : system_(system), injector_(config) {}
+
+  metrics::RetrievalList retrieve(const video::Video& v, std::size_t m) {
+    using serve::ServeError;
+    using serve::ServeErrorCode;
+    switch (injector_.next()) {
+      case serve::FaultKind::kTransientError:
+        throw ServeError(ServeErrorCode::kTransient, /*billed=*/true,
+                         "FaultySystem: injected transient error");
+      case serve::FaultKind::kDrop:
+        // In the synchronous world a dropped response surfaces as the
+        // client's own timeout; the backend still did the work.
+        throw ServeError(ServeErrorCode::kDropped, /*billed=*/true,
+                         "FaultySystem: injected dropped response");
+      case serve::FaultKind::kFatalError:
+        throw ServeError(ServeErrorCode::kFatal, /*billed=*/true,
+                         "FaultySystem: injected fatal victim error");
+      case serve::FaultKind::kDelay:
+        std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
+            injector_.config().delay_ms));
+        break;
+      case serve::FaultKind::kNone:
+        break;
+    }
+    return system_.retrieve(v, m);
+  }
+
+  // Adapter for retrieval::BlackBoxHandle's type-erased constructor.
+  retrieval::BlackBoxHandle::RetrieveFn retrieve_fn() {
+    return [this](const video::Video& v, std::size_t m) {
+      return retrieve(v, m);
+    };
+  }
+
+ private:
+  retrieval::RetrievalSystem& system_;
+  serve::FaultInjector injector_;
+};
 
 bool file_exists(const std::string& path) {
   return std::ifstream(path).good();
@@ -358,7 +408,7 @@ TEST(FailureModes, CheckpointResumeReproducesUninterruptedRun) {
   {
     serve::FaultConfig faults;
     faults.fatal_at = 12;
-    serve::FaultySystem faulty(*w.victim, faults);
+    FaultySystem faulty(*w.victim, faults);
     retrieval::BlackBoxHandle handle(faulty.retrieve_fn());
     attack::SparseQueryConfig killed = cfg;
     killed.checkpoint_path = serial_path;
@@ -455,7 +505,7 @@ TEST(FailureModes, SerialResumeAcrossRepeatedCoordinateStep) {
     {
       serve::FaultConfig faults;
       faults.fatal_at = fatal_at;
-      serve::FaultySystem faulty(*w.victim, faults);
+      FaultySystem faulty(*w.victim, faults);
       retrieval::BlackBoxHandle handle(faulty.retrieve_fn());
       EXPECT_THROW((void)attack::sparse_query(v, pert, handle, ctx, ck_cfg),
                    serve::ServeError);
@@ -543,7 +593,7 @@ TEST(FailureModes, DuoSurvivesFaultsAndKillResume) {
   {
     serve::FaultConfig faults;
     faults.fatal_at = ref.queries * 3 / 4;
-    serve::FaultySystem faulty(*w.victim, faults);
+    FaultySystem faulty(*w.victim, faults);
     retrieval::BlackBoxHandle handle(faulty.retrieve_fn());
     attack::DuoAttack killed_attack(*w.surrogate, ck_cfg);
     EXPECT_THROW((void)killed_attack.run(v, vt, handle), serve::ServeError);
@@ -1020,7 +1070,7 @@ TEST(FailureModes, DuoCheckpointGcRemovesFilesOnlyOnCleanFinish) {
   {
     serve::FaultConfig faults;
     faults.fatal_at = clean.queries / 2;
-    serve::FaultySystem faulty(*w.victim, faults);
+    FaultySystem faulty(*w.victim, faults);
     retrieval::BlackBoxHandle handle(faulty.retrieve_fn());
     attack::DuoAttack killed_attack(*w.surrogate, cfg);
     EXPECT_THROW((void)killed_attack.run(v, vt, handle), serve::ServeError);

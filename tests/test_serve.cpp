@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "campaign/fairness.hpp"
 #include "common/thread_pool.hpp"
 #include "metrics/metrics.hpp"
 #include "serve/admission.hpp"
@@ -217,7 +218,7 @@ TEST(Serve, StatsAccountEveryQueryAndBatch) {
   EXPECT_EQ(histogram_batches, stats.batches);
   EXPECT_GE(stats.p50_latency_ms, 0.0);
   EXPECT_LE(stats.p50_latency_ms, stats.p95_latency_ms);
-  EXPECT_LE(stats.p95_latency_ms, stats.max_latency_ms);
+  EXPECT_LE(stats.p95_latency_ms, stats.latency.max_ms);
   EXPECT_GT(stats.mean_batch_size(), 0.0);
 
   server.reset_stats();
@@ -346,17 +347,17 @@ TEST(Serve, LatencyStatsUseBoundedReservoir) {
   server.shutdown();
 
   const ServerStats stats = server.stats();
-  EXPECT_EQ(stats.latency_count, n);
+  EXPECT_EQ(stats.latency.count, n);
   EXPECT_EQ(stats.latency_samples_retained, 16);
   EXPECT_GE(stats.p50_latency_ms, 0.0);
   EXPECT_LE(stats.p50_latency_ms, stats.p95_latency_ms);
-  EXPECT_LE(stats.p95_latency_ms, stats.max_latency_ms);
+  EXPECT_LE(stats.p95_latency_ms, stats.latency.max_ms);
 
   server.reset_stats();
   const ServerStats zeroed = server.stats();
-  EXPECT_EQ(zeroed.latency_count, 0);
+  EXPECT_EQ(zeroed.latency.count, 0);
   EXPECT_EQ(zeroed.latency_samples_retained, 0);
-  EXPECT_DOUBLE_EQ(zeroed.max_latency_ms, 0.0);
+  EXPECT_DOUBLE_EQ(zeroed.latency.max_ms, 0.0);
 }
 
 TEST(Serve, SubmitWithDeadlineTimesOutUnderBackpressure) {
@@ -1111,9 +1112,9 @@ TEST(Serve, PerClientStatsBreakdownSumsToGlobals) {
   server.shutdown();
 
   const ServerStats stats = server.stats();
-  ASSERT_EQ(stats.per_client.size(), 2u);
-  const ClientStats& a = stats.per_client.at("alice");
-  const ClientStats& b = stats.per_client.at("bob");
+  ASSERT_EQ(stats.clients.size(), 2u);
+  const ClientLedger& a = stats.clients.at("alice");
+  const ClientLedger& b = stats.clients.at("bob");
   EXPECT_EQ(a.served, 2);
   EXPECT_EQ(a.throttled, 0);
   EXPECT_EQ(b.served, 2);
@@ -1124,12 +1125,46 @@ TEST(Serve, PerClientStatsBreakdownSumsToGlobals) {
   // Slices sum to globals, including the latency accounting.
   EXPECT_EQ(a.served + b.served, stats.queries_served);
   EXPECT_EQ(a.throttled + b.throttled, stats.requests_throttled);
-  EXPECT_EQ(a.latency_count + b.latency_count, stats.latency_count);
-  EXPECT_LE(a.p50_latency_ms, a.p95_latency_ms);
-  EXPECT_LE(a.p95_latency_ms, a.max_latency_ms);
+  EXPECT_EQ(a.latency.count + b.latency.count, stats.latency.count);
+  EXPECT_LE(a.latency.percentile(0.50), a.latency.percentile(0.95));
+  EXPECT_LE(a.latency.percentile(0.95), a.latency.max_ms);
 
   server.reset_stats();
-  EXPECT_TRUE(server.stats().per_client.empty());
+  EXPECT_TRUE(server.stats().clients.empty());
+}
+
+// A backend failure — extract_batch rejecting a 1-channel video sent to the
+// 3-channel victim — fails its request with a billed, non-retryable kFatal.
+// It is counted as faulted, globally and for its client, so the handle, the
+// server and the client entry bill the same two queries.
+TEST(Serve, BackendFailureIsBilledAndCounted) {
+  auto& w = ServeWorld::mutable_instance();
+  RetrievalServer server(*w.system);
+  RequestOptions opts;
+  opts.client_id = "gray";
+  AsyncBlackBoxHandle handle(server, opts);
+
+  EXPECT_EQ(handle.retrieve(w.dataset.test[0], 5), w.expected[0]);
+  video::VideoGeometry one_channel = w.spec.geometry;
+  one_channel.channels = 1;
+  try {
+    (void)handle.retrieve(video::Video(one_channel, 0, 999), 5);
+    FAIL() << "a 1-channel video must fail on the 3-channel victim";
+  } catch (const ServeError& e) {
+    EXPECT_EQ(e.code(), ServeErrorCode::kFatal);
+    EXPECT_TRUE(e.billed());
+    EXPECT_FALSE(e.retryable());
+  }
+  server.shutdown();
+
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(handle.query_count(), 2);
+  EXPECT_EQ(stats.queries_served + stats.faults_injected +
+                stats.requests_expired + stats.requests_shed,
+            2);
+  EXPECT_EQ(stats.clients.at("gray").billed(), 2);
+  EXPECT_EQ(stats.clients.at("gray").faulted, 1);
+  EXPECT_TRUE(campaign::summarize_fairness(stats).ledger_ok);
 }
 
 // A submit refused because the server crashed is a connection loss, not a
@@ -1176,7 +1211,7 @@ TEST(Admission, CrashedServerRefusalsSpendNoRateTokens) {
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.queries_served, 2);
   EXPECT_EQ(stats.requests_throttled, 1);
-  const ClientStats& c = stats.per_client.at("reconnector");
+  const ClientLedger& c = stats.clients.at("reconnector");
   EXPECT_EQ(c.throttled, 1);
   EXPECT_EQ(c.billed(), 2);
 }
