@@ -5,9 +5,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <array>
-#include <cstdio>
-#include <string_view>
 #include <vector>
 
 #include "attack/lp_box_admm.hpp"
@@ -49,43 +46,26 @@ void BM_TensorAxpy(benchmark::State& state) {
 BENCHMARK(BM_TensorAxpy)->Arg(1 << 12)->Arg(1 << 16);
 
 // Conv3d forward at a paper-relevant size, sharded over the given number of
-// threads (first arg = pool size; 0 = hardware concurrency) and running the
-// given kernel (second arg: 0 = direct reference loops, 1 = im2col/GEMM).
-// Outputs are bitwise identical across thread counts and across the two
-// kernels, so the only observable difference is time.
-nn::Conv3dSpec conv_bench_spec(std::int64_t kernel_arg) {
-  nn::Conv3dSpec spec;
-  spec.in_channels = 8;
-  spec.out_channels = 16;
-  spec.kernel_impl =
-      kernel_arg == 0 ? nn::Conv3dKernel::kDirect : nn::Conv3dKernel::kGemm;
-  return spec;
-}
+// threads (arg = pool size; 0 = hardware concurrency). Outputs are bitwise
+// identical across thread counts, so the only observable difference is time.
+const nn::Conv3dSpec kConvBenchSpec{.in_channels = 8, .out_channels = 16};
 
 void BM_Conv3dForward(benchmark::State& state) {
   ComputePoolGuard guard(static_cast<std::size_t>(state.range(0)));
   Rng rng(21);
-  nn::Conv3d conv(conv_bench_spec(state.range(1)), rng);
+  nn::Conv3d conv(kConvBenchSpec, rng);
   const Tensor input = Tensor::uniform({8, 8, 28, 28}, -1.0f, 1.0f, rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(conv.forward(input));
   }
   state.SetItemsProcessed(state.iterations() * input.size());
 }
-BENCHMARK(BM_Conv3dForward)
-    ->ArgNames({"threads", "gemm"})
-    ->Args({1, 0})
-    ->Args({4, 0})
-    ->Args({8, 0})
-    ->Args({1, 1})
-    ->Args({4, 1})
-    ->Args({8, 1})
-    ->Args({0, 1});
+BENCHMARK(BM_Conv3dForward)->ArgName("threads")->Arg(1)->Arg(4)->Arg(8)->Arg(0);
 
 void BM_Conv3dBackward(benchmark::State& state) {
   ComputePoolGuard guard(static_cast<std::size_t>(state.range(0)));
   Rng rng(22);
-  nn::Conv3d conv(conv_bench_spec(state.range(1)), rng);
+  nn::Conv3d conv(kConvBenchSpec, rng);
   const Tensor input = Tensor::uniform({8, 8, 28, 28}, -1.0f, 1.0f, rng);
   const Tensor out = conv.forward(input);
   const Tensor grad = Tensor::uniform(out.shape(), -1.0f, 1.0f, rng);
@@ -94,15 +74,7 @@ void BM_Conv3dBackward(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * input.size());
 }
-BENCHMARK(BM_Conv3dBackward)
-    ->ArgNames({"threads", "gemm"})
-    ->Args({1, 0})
-    ->Args({4, 0})
-    ->Args({8, 0})
-    ->Args({1, 1})
-    ->Args({4, 1})
-    ->Args({8, 1})
-    ->Args({0, 1});
+BENCHMARK(BM_Conv3dBackward)->ArgName("threads")->Arg(1)->Arg(4)->Arg(8)->Arg(0);
 
 // Whole-extractor forward pass (the victim-query hot path) at 1..N threads.
 void BM_ExtractThreads(benchmark::State& state) {
@@ -265,73 +237,6 @@ void BM_SyntheticVideo(benchmark::State& state) {
 }
 BENCHMARK(BM_SyntheticVideo);
 
-// --smoke: a fast direct-vs-GEMM Conv3d consistency check instead of timing.
-// Runs both kernels on identical weights/inputs across a few representative
-// shapes and reports the worst forward / weight-grad / bias-grad / input-grad
-// deltas. Forward and parameter gradients must match bitwise (delta 0); the
-// input gradient is a reassociated reduction, so it only has to be close.
-// Exits nonzero on any mismatch — cheap enough for every CI run.
-int run_smoke() {
-  struct Case {
-    const char* label;
-    std::int64_t cin, cout;
-    std::array<std::int64_t, 3> kernel, stride, padding;
-    Tensor::Shape in;
-  };
-  const std::vector<Case> cases = {
-      {"3x3x3 pad1", 4, 8, {3, 3, 3}, {1, 1, 1}, {1, 1, 1}, {4, 6, 12, 12}},
-      {"strided", 3, 6, {2, 3, 3}, {1, 2, 2}, {0, 1, 1}, {3, 5, 13, 13}},
-      {"pointwise", 8, 8, {1, 1, 1}, {1, 1, 1}, {0, 0, 0}, {8, 4, 8, 8}},
-  };
-  ComputePoolGuard guard(0);
-  bool ok = true;
-  for (const auto& c : cases) {
-    auto run = [&](nn::Conv3dKernel impl) {
-      nn::Conv3dSpec spec;
-      spec.in_channels = c.cin;
-      spec.out_channels = c.cout;
-      spec.kernel = c.kernel;
-      spec.stride = c.stride;
-      spec.padding = c.padding;
-      spec.kernel_impl = impl;
-      Rng rng(97);
-      nn::Conv3d conv(spec, rng);
-      Rng xrng(98);
-      const Tensor x = Tensor::uniform(c.in, -1.0f, 1.0f, xrng);
-      const Tensor out = conv.forward(x);
-      const Tensor gy = Tensor::uniform(out.shape(), -1.0f, 1.0f, xrng);
-      const Tensor gx = conv.backward(gy);
-      return std::array<Tensor, 4>{out, gx, conv.parameters()[0]->grad,
-                                   conv.parameters()[1]->grad};
-    };
-    const auto direct = run(nn::Conv3dKernel::kDirect);
-    const auto gemm = run(nn::Conv3dKernel::kGemm);
-    const float d_out = (direct[0] - gemm[0]).norm_linf();
-    const float d_gx = (direct[1] - gemm[1]).norm_linf();
-    const float d_gw = (direct[2] - gemm[2]).norm_linf();
-    const float d_gb = (direct[3] - gemm[3]).norm_linf();
-    const bool case_ok =
-        d_out == 0.0f && d_gw == 0.0f && d_gb == 0.0f && d_gx <= 1e-4f;
-    ok = ok && case_ok;
-    std::printf(
-        "conv3d %-12s forward %.3g  grad_w %.3g  grad_b %.3g  grad_x %.3g  %s\n",
-        c.label, static_cast<double>(d_out), static_cast<double>(d_gw),
-        static_cast<double>(d_gb), static_cast<double>(d_gx),
-        case_ok ? "OK" : "MISMATCH");
-  }
-  std::printf("direct-vs-gemm smoke: %s\n", ok ? "PASS" : "FAIL");
-  return ok ? 0 : 1;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--smoke") return run_smoke();
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

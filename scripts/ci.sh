@@ -19,18 +19,8 @@ cmake --build "$build_dir" -j "$(nproc)"
 ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
 
 DUO_THREADS=8 ctest --test-dir "$build_dir" \
-  -R 'ParallelDeterminism|Conv3dKernels|Gemm|Serve|SparseQuery|FaultInjection|Resilient|Admission|Pacer|Aimd|Circuit|NeighborOrder|Ivf|Campaign|CrashRecovery' \
+  -R 'ParallelDeterminism|Conv3d|Gemm|Serve|SparseQuery|FaultInjection|Resilient|Admission|Pacer|Aimd|Circuit|NeighborOrder|Ivf|Campaign|CrashRecovery' \
   --output-on-failure
-
-# Kernel-equivalence re-run under the reference Conv3d kernel: the gradient
-# harness, NaN regressions, and direct-vs-GEMM suites must pass identically
-# when every kAuto conv resolves to the direct loops instead of im2col/GEMM.
-DUO_CONV3D_KERNEL=direct ctest --test-dir "$build_dir" \
-  -R 'CheckGrad|NanSanity|Conv3dKernels' --output-on-failure
-
-# Direct-vs-GEMM consistency smoke: both Conv3d kernels on identical
-# weights/inputs; forward and parameter gradients must match bitwise.
-"$build_dir/bench/micro_ops" --smoke
 
 # Serve-layer smoke: exercises the micro-batching scheduler end to end under
 # concurrent clients and prints the batch-size histogram + latency

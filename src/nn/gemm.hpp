@@ -8,10 +8,11 @@
 // one multiply-add per k, regardless of tiling or thread count. Tiles
 // partition C disjointly, so the result is bitwise identical across
 // DUO_THREADS counts — and matches any scalar loop that accumulates the same
-// chain in the same order (the direct Conv3d kernel's order, by construction
-// of the im2col row layout). The one freedom left is which payload a NaN
-// result carries when two NaN operands meet in one multiply-add: x86 picks
-// by instruction operand position, which register allocation decides.
+// chain in the same order (the Conv3d reference loops' order, by
+// construction of the im2col row layout). The one freedom left is which
+// payload a NaN result carries when two NaN operands meet in one
+// multiply-add: x86 picks by instruction operand position, which register
+// allocation decides.
 //
 // Callers seed C with the additive term (bias rows, an existing gradient to
 // accumulate into, or zeros) before the call.

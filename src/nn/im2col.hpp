@@ -5,7 +5,7 @@
 // im2col lowers a 3D convolution to a matrix product: the patch matrix has
 // one row per kernel tap k = ((ci·kt + dt)·kh + dh)·kw + dw and one column
 // per output position n = (ot·Ho + oh)·Wo + ow, so the row order matches the
-// flattened weight layout [Cout, Cin·kt·kh·kw] and the direct kernel's
+// flattened weight layout [Cout, Cin·kt·kh·kw] and the reference loops'
 // accumulation order over (ci, dt, dh, dw). Padding taps are stored as 0.
 
 #include <array>

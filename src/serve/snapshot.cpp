@@ -1,3 +1,5 @@
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <sstream>
@@ -31,6 +33,15 @@ bool read_bool(std::istream& in, bool& b) {
   return true;
 }
 
+// Every double in a snapshot (latencies, degraded time, limiter rates,
+// bursts, tokens and clocks) is finite in a running server. A NaN passes the
+// range checks below unnoticed: a NaN limiter rate is neither <= 0 nor
+// rejected by `burst < 1`, and the restored limiter then grants every
+// request. So the loader rejects every non-finite double.
+bool read_finite(std::istream& in, double& v) {
+  return io::read_f64(in, v) && std::isfinite(v);
+}
+
 void write_reservoir(std::ostream& out, const LatencyReservoir& r) {
   io::write_f64_vec(out, r.samples);
   io::write_i64(out, r.count);
@@ -43,9 +54,12 @@ void write_reservoir(std::ostream& out, const LatencyReservoir& r) {
 // the reservoir is full; a smaller count would draw from an empty range.
 bool read_reservoir(std::istream& in, LatencyReservoir& r) {
   std::uint64_t rng_state = 0;
-  if (!io::read_f64_vec(in, r.samples) || !io::read_i64(in, r.count) ||
+  if (!io::read_f64_vec(in, r.samples) ||
+      !std::all_of(r.samples.begin(), r.samples.end(),
+                   [](double v) { return std::isfinite(v); }) ||
+      !io::read_i64(in, r.count) ||
       r.count < static_cast<std::int64_t>(r.samples.size()) ||
-      !io::read_f64(in, r.max_ms) || !io::read_u64(in, rng_state)) {
+      !read_finite(in, r.max_ms) || !io::read_u64(in, rng_state)) {
     return false;
   }
   r.rng = Rng(rng_state);
@@ -128,7 +142,7 @@ bool read_payload(std::istream& in, ServerSnapshot& snap) {
   if (!io::read_i64_vec(in, l.retry_after_buckets)) return false;
   if (!read_reservoir(in, l.latency)) return false;
   if (!io::read_i64(in, l.degrade_entries)) return false;
-  if (!io::read_f64(in, l.degraded_accum_ms)) return false;
+  if (!read_finite(in, l.degraded_accum_ms)) return false;
   if (!io::read_i64(in, l.degraded_served)) return false;
   std::int64_t client_count = 0;
   if (!io::read_i64(in, client_count)) return false;
@@ -145,8 +159,8 @@ bool read_payload(std::istream& in, ServerSnapshot& snap) {
   if (!read_bool(in, snap.has_limiter)) return false;
   snap.limiter = RateLimiter::State{};
   if (snap.has_limiter) {
-    if (!io::read_f64(in, snap.limiter.rate)) return false;
-    if (!io::read_f64(in, snap.limiter.burst)) return false;
+    if (!read_finite(in, snap.limiter.rate)) return false;
+    if (!read_finite(in, snap.limiter.burst)) return false;
     if (snap.limiter.rate <= 0.0 || snap.limiter.burst < 1.0) return false;
     std::int64_t bucket_count = 0;
     if (!io::read_i64(in, bucket_count)) return false;
@@ -158,10 +172,10 @@ bool read_payload(std::istream& in, ServerSnapshot& snap) {
       if (!io::read_string(in, entry.first)) return false;
       if (i > 0 && entry.first <= prev_bucket) return false;
       prev_bucket = entry.first;
-      if (!io::read_f64(in, entry.second.rate)) return false;
-      if (!io::read_f64(in, entry.second.burst)) return false;
-      if (!io::read_f64(in, entry.second.tokens)) return false;
-      if (!io::read_f64(in, entry.second.last_ms)) return false;
+      if (!read_finite(in, entry.second.rate)) return false;
+      if (!read_finite(in, entry.second.burst)) return false;
+      if (!read_finite(in, entry.second.tokens)) return false;
+      if (!read_finite(in, entry.second.last_ms)) return false;
       if (!read_bool(in, entry.second.primed)) return false;
       if (entry.second.rate <= 0.0 || entry.second.burst < 1.0) return false;
       snap.limiter.buckets.push_back(std::move(entry));

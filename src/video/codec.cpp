@@ -54,8 +54,17 @@ std::optional<Video> load_video(const std::string& path) {
   if (!in || std::memcmp(h.magic, kMagic, sizeof(kMagic)) != 0) {
     return std::nullopt;
   }
-  if (h.frames <= 0 || h.width <= 0 || h.height <= 0 || h.channels <= 0) {
-    return std::nullopt;
+  // The header is untrusted: every dimension must be positive and their
+  // product must fit in the bytes left in the file before anything is
+  // allocated. Dividing the budget keeps the product from overflowing.
+  const std::streamoff data_begin = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff remaining = in.tellg() - data_begin;
+  in.seekg(data_begin);
+  std::int64_t count = 1;
+  for (const std::int64_t dim : {h.frames, h.width, h.height, h.channels}) {
+    if (dim <= 0 || dim > remaining / count) return std::nullopt;
+    count *= dim;
   }
   VideoGeometry g{h.frames, h.width, h.height, h.channels};
   std::vector<std::uint8_t> bytes(static_cast<std::size_t>(g.total_elements()));

@@ -1,23 +1,21 @@
 // CheckGrad sweep of every Module and full extractor architecture, NaN/Inf
 // forward-propagation sanity for the pooling/norm layers (including the
-// MaxPool3d all-NaN-window out-of-bounds regression), and the Conv3d
-// direct-vs-GEMM kernel equivalence suite, up to an end-to-end attack on the
-// seed fixtures.
+// MaxPool3d all-NaN-window out-of-bounds regression), and the Conv3d suite
+// that checks the im2col + GEMM layer against the nested-loop oracle in
+// conv3d_reference.hpp on every geometry the extractors build.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <limits>
 #include <map>
 #include <memory>
-#include <tuple>
+#include <string>
 #include <vector>
 
-#include "attack/sparse_query.hpp"
-#include "baselines/vanilla.hpp"
-#include "common/thread_pool.hpp"
-#include "fixtures.hpp"
+#include "conv3d_reference.hpp"
 #include "models/feature_extractor.hpp"
 #include "nn/activations.hpp"
 #include "nn/compose.hpp"
@@ -29,7 +27,6 @@
 #include "nn/norm.hpp"
 #include "nn/pool3d.hpp"
 #include "nn/residual.hpp"
-#include "video/synthetic.hpp"
 
 namespace duo::nn {
 namespace {
@@ -37,18 +34,10 @@ namespace {
 constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
 constexpr float kInf = std::numeric_limits<float>::infinity();
 
-// RAII: pin the process-wide default Conv3d kernel, restore the env-derived
-// default on scope exit.
-struct KernelGuard {
-  explicit KernelGuard(Conv3dKernel k) { set_default_conv3d_kernel(k); }
-  ~KernelGuard() { set_default_conv3d_kernel(Conv3dKernel::kAuto); }
-};
-
 Conv3dSpec make_spec(std::int64_t cin, std::int64_t cout,
                      std::array<std::int64_t, 3> kernel,
                      std::array<std::int64_t, 3> stride,
-                     std::array<std::int64_t, 3> padding, bool bias = true,
-                     Conv3dKernel impl = Conv3dKernel::kAuto) {
+                     std::array<std::int64_t, 3> padding, bool bias = true) {
   Conv3dSpec spec;
   spec.in_channels = cin;
   spec.out_channels = cout;
@@ -56,7 +45,6 @@ Conv3dSpec make_spec(std::int64_t cin, std::int64_t cout,
   spec.stride = stride;
   spec.padding = padding;
   spec.bias = bias;
-  spec.kernel_impl = impl;
   return spec;
 }
 
@@ -160,20 +148,16 @@ TEST(CheckGradLayers, Flatten) {
 }
 
 TEST(CheckGradLayers, Conv3dBothKernels) {
-  for (const auto impl : {Conv3dKernel::kDirect, Conv3dKernel::kGemm}) {
-    Rng rng(3);
-    Conv3d cube(make_spec(2, 3, {3, 3, 3}, {1, 1, 1}, {1, 1, 1}, true, impl),
-                rng);
-    expect_checkgrad_ok(cube, {2, 4, 5, 5});
+  Rng rng(3);
+  Conv3d cube(make_spec(2, 3, {3, 3, 3}, {1, 1, 1}, {1, 1, 1}), rng);
+  expect_checkgrad_ok(cube, {2, 4, 5, 5});
 
-    Conv3d strided(
-        make_spec(2, 2, {2, 3, 3}, {1, 2, 2}, {0, 1, 1}, true, impl), rng);
-    expect_checkgrad_ok(strided, {2, 3, 5, 5});
+  Conv3d strided(make_spec(2, 2, {2, 3, 3}, {1, 2, 2}, {0, 1, 1}), rng);
+  expect_checkgrad_ok(strided, {2, 3, 5, 5});
 
-    Conv3d pointwise_nobias(
-        make_spec(3, 4, {1, 1, 1}, {1, 1, 1}, {0, 0, 0}, false, impl), rng);
-    expect_checkgrad_ok(pointwise_nobias, {3, 2, 3, 3});
-  }
+  Conv3d pointwise_nobias(
+      make_spec(3, 4, {1, 1, 1}, {1, 1, 1}, {0, 0, 0}, false), rng);
+  expect_checkgrad_ok(pointwise_nobias, {3, 2, 3, 3});
 }
 
 TEST(CheckGradLayers, Pools) {
@@ -287,7 +271,7 @@ TEST(CheckGradLosses, RankedTripletLoss) {
 }
 
 // ---------------------------------------------------------------------------
-// Full extractor architectures (sampled sweep; both Conv3d kernels)
+// Full extractor architectures (sampled sweep)
 // ---------------------------------------------------------------------------
 
 // Adapts a FeatureExtractor to the Module interface CheckGrad consumes.
@@ -314,44 +298,38 @@ TEST(CheckGradArchitectures, AllExtractorsBothKernels) {
       models::ModelKind::kResNet34, models::ModelKind::kI3D,
       models::ModelKind::kTPN,      models::ModelKind::kSlowFast,
       models::ModelKind::kLstmNet};
-  for (const auto impl : {Conv3dKernel::kDirect, Conv3dKernel::kGemm}) {
-    KernelGuard guard(impl);
-    for (const auto kind : kinds) {
-      Rng rng(8);
-      auto extractor = models::make_extractor(kind, geometry, 8, rng);
-      ExtractorAsModule module(*extractor);
-      CheckGradConfig cfg;
-      cfg.max_probes_per_tensor = 6;  // full sweeps cost 2 forwards/coord
-      // Deep float32 chains: the objective's roundoff (~|f|·2⁻²³) divided by
-      // 2·eps dominates at the per-layer defaults, and it is identical for
-      // both kernels — so widen the step and the noise floor instead of
-      // weakening the per-layer sweeps.
-      cfg.eps = 1e-2f;
-      cfg.tolerance = 1e-1;
-      cfg.abs_tolerance = 2e-3;
-      // Model-input layout is [C, T, H, W] (video::Video::to_model_input).
-      const Tensor::Shape in_shape = {geometry.channels, geometry.frames,
-                                      geometry.height, geometry.width};
-      const auto report = CheckGrad(module, in_shape, cfg);
-      // Deep nets are non-smooth (ReLU/MaxPool kinks) and float32 roundoff
-      // through hundreds of layers leaves a residue of per-coordinate
-      // finite-difference artifacts no eps can eliminate — so unlike the
-      // strict per-layer sweeps, this is a structural check: a broken
-      // backward flags (nearly) every probe of its tensor, while noise
-      // scatters one or two flags across many tensors.
-      std::map<std::string, int> per_tensor;
-      for (const auto& o : report.outliers) ++per_tensor[o.tensor];
-      for (const auto& [label, count] : per_tensor) {
-        EXPECT_LE(count, 3)
-            << models::model_kind_name(kind) << " ("
-            << conv3d_kernel_name(impl) << ") " << label
-            << " flags most of its probes: " << report.summary();
-      }
-      EXPECT_LE(static_cast<double>(report.outliers.size()),
-                0.2 * static_cast<double>(report.coordinates_checked))
-          << models::model_kind_name(kind) << " ("
-          << conv3d_kernel_name(impl) << "): " << report.summary();
+  for (const auto kind : kinds) {
+    Rng rng(8);
+    auto extractor = models::make_extractor(kind, geometry, 8, rng);
+    ExtractorAsModule module(*extractor);
+    CheckGradConfig cfg;
+    cfg.max_probes_per_tensor = 6;  // full sweeps cost 2 forwards/coord
+    // Deep float32 chains: the objective's roundoff (~|f|·2⁻²³) divided by
+    // 2·eps dominates at the per-layer defaults — so widen the step and the
+    // noise floor instead of weakening the per-layer sweeps.
+    cfg.eps = 1e-2f;
+    cfg.tolerance = 1e-1;
+    cfg.abs_tolerance = 2e-3;
+    // Model-input layout is [C, T, H, W] (video::Video::to_model_input).
+    const Tensor::Shape in_shape = {geometry.channels, geometry.frames,
+                                    geometry.height, geometry.width};
+    const auto report = CheckGrad(module, in_shape, cfg);
+    // Deep nets are non-smooth (ReLU/MaxPool kinks) and float32 roundoff
+    // through hundreds of layers leaves a residue of per-coordinate
+    // finite-difference artifacts no eps can eliminate — so unlike the
+    // strict per-layer sweeps, this is a structural check: a broken
+    // backward flags (nearly) every probe of its tensor, while noise
+    // scatters one or two flags across many tensors.
+    std::map<std::string, int> per_tensor;
+    for (const auto& o : report.outliers) ++per_tensor[o.tensor];
+    for (const auto& [label, count] : per_tensor) {
+      EXPECT_LE(count, 3) << models::model_kind_name(kind) << " " << label
+                          << " flags most of its probes: "
+                          << report.summary();
     }
+    EXPECT_LE(static_cast<double>(report.outliers.size()),
+              0.2 * static_cast<double>(report.coordinates_checked))
+        << models::model_kind_name(kind) << ": " << report.summary();
   }
 }
 
@@ -442,7 +420,7 @@ TEST(NanSanity, InstanceNorm3dPropagatesNaNWithoutCrashing) {
 }
 
 // ---------------------------------------------------------------------------
-// Conv3d kernel equivalence: direct vs im2col/GEMM
+// Conv3d against the nested-loop oracle (conv3d_reference.hpp)
 // ---------------------------------------------------------------------------
 
 void expect_bitwise_equal(const Tensor& a, const Tensor& b, const char* what) {
@@ -452,25 +430,45 @@ void expect_bitwise_equal(const Tensor& a, const Tensor& b, const char* what) {
   }
 }
 
-struct KernelRun {
-  Tensor out, gx, gw, gb;
-};
+// Conv3d initialises its bias to zero, which would hide where the bias
+// enters each chain, so the oracle tests draw one.
+void randomize_bias(Conv3d& conv, Rng& rng) {
+  if (!conv.spec().bias) return;
+  conv.parameters()[1]->value =
+      Tensor::uniform({conv.spec().out_channels}, -1.0f, 1.0f, rng);
+}
 
-KernelRun run_kernel(const Conv3dSpec& base, Conv3dKernel impl,
-                     const Tensor::Shape& in_shape, std::uint64_t seed) {
-  Conv3dSpec spec = base;
-  spec.kernel_impl = impl;
+// One forward and one backward through a fresh Conv3d and through the oracle
+// holding the same weights. Forward and weight/bias grads accumulate the
+// identical chain in the identical order in both — bitwise equal. The input
+// gradient reduction is reassociated (sum over channels before the tap
+// scatter): numerically equivalent, not bitwise.
+void expect_matches_reference(const Conv3dSpec& spec,
+                              const Tensor::Shape& in_shape,
+                              std::uint64_t seed, bool post_relu) {
   Rng rng(seed);
   Conv3d conv(spec, rng);
+  randomize_bias(conv, rng);
+  ReferenceConv3d reference(conv);
   Rng xrng(seed + 1);
-  const Tensor x = Tensor::uniform(in_shape, -1.0f, 1.0f, xrng);
-  KernelRun r;
-  r.out = conv.forward(x);
-  const Tensor gy = Tensor::uniform(r.out.shape(), -1.0f, 1.0f, xrng);
-  r.gx = conv.backward(gy);
-  r.gw = conv.parameters()[0]->grad;
-  if (spec.bias) r.gb = conv.parameters()[1]->grad;
-  return r;
+  Tensor x = Tensor::uniform(in_shape, -1.0f, 1.0f, xrng);
+  if (post_relu) {
+    // About half the entries become exact zeros, as after a ReLU.
+    for (std::int64_t i = 0; i < x.size(); ++i) x[i] = std::max(x[i], 0.0f);
+  }
+  const Tensor gy =
+      Tensor::uniform(conv.output_shape(in_shape), -1.0f, 1.0f, xrng);
+  expect_bitwise_equal(reference.forward(x), conv.forward(x), "forward");
+  const Tensor reference_gx = reference.backward(gy);
+  const Tensor gx = conv.backward(gy);
+  expect_bitwise_equal(reference.weight_grad(), conv.parameters()[0]->grad,
+                       "weight grad");
+  if (spec.bias) {
+    expect_bitwise_equal(reference.bias_grad(), conv.parameters()[1]->grad,
+                         "bias grad");
+  }
+  ASSERT_EQ(reference_gx.shape(), gx.shape());
+  EXPECT_TRUE(reference_gx.allclose(gx, 1e-4f)) << "input grad";
 }
 
 TEST(Conv3dKernels, GemmMatchesDirectOnForwardAndParamGrads) {
@@ -494,92 +492,92 @@ TEST(Conv3dKernels, GemmMatchesDirectOnForwardAndParamGrads) {
       {make_spec(2, 3, {2, 4, 4}, {1, 1, 1}, {0, 0, 0}), {2, 2, 4, 4}},
       // Input narrower than the kernel on every axis.
       {make_spec(1, 2, {3, 5, 5}, {1, 1, 1}, {1, 2, 2}), {1, 2, 3, 2}},
+      // Larger mid-network shapes: 3x3x3, strided, pointwise.
+      {make_spec(4, 8, {3, 3, 3}, {1, 1, 1}, {1, 1, 1}), {4, 6, 12, 12}},
+      {make_spec(3, 6, {2, 3, 3}, {1, 2, 2}, {0, 1, 1}), {3, 5, 13, 13}},
+      {make_spec(8, 8, {1, 1, 1}, {1, 1, 1}, {0, 0, 0}), {8, 4, 8, 8}},
+      // Every distinct (spec, input) pair make_extractor builds at the
+      // 8x16x16x3 geometry, whose model input is [3, 8, 16, 16].
+      // MiniC3D conv1..conv3.
+      {make_spec(3, 8, {3, 3, 3}, {1, 1, 1}, {1, 1, 1}), {3, 8, 16, 16}},
+      {make_spec(8, 16, {3, 3, 3}, {1, 1, 1}, {1, 1, 1}), {8, 8, 8, 8}},
+      {make_spec(16, 24, {3, 3, 3}, {1, 1, 1}, {1, 1, 1}), {16, 4, 4, 4}},
+      // MiniResNet18/34: stem, stage-1 block, downsampling block (body and
+      // projection shortcut), stage-2 block.
+      {make_spec(3, 8, {1, 3, 3}, {1, 1, 1}, {0, 1, 1}), {3, 8, 16, 16}},
+      {make_spec(8, 8, {1, 3, 3}, {1, 1, 1}, {0, 1, 1}), {8, 8, 16, 16}},
+      {make_spec(8, 16, {1, 3, 3}, {1, 2, 2}, {0, 1, 1}), {8, 8, 16, 16}},
+      {make_spec(16, 16, {1, 3, 3}, {1, 1, 1}, {0, 1, 1}), {16, 8, 8, 8}},
+      {make_spec(8, 16, {1, 1, 1}, {1, 2, 2}, {0, 0, 0}, false),
+       {8, 8, 16, 16}},
+      // MiniI3D (the stem is also MiniTPN's): stem, 1x1x1 and 3x3x3
+      // branches, conv3.
+      {make_spec(3, 8, {3, 3, 3}, {1, 2, 2}, {1, 1, 1}), {3, 8, 16, 16}},
+      {make_spec(8, 8, {1, 1, 1}, {1, 1, 1}, {0, 0, 0}), {8, 8, 8, 8}},
+      {make_spec(8, 12, {3, 3, 3}, {1, 1, 1}, {1, 1, 1}), {8, 8, 8, 8}},
+      {make_spec(20, 24, {3, 3, 3}, {1, 1, 1}, {1, 1, 1}), {20, 4, 4, 4}},
+      // MiniTPN pyramid at temporal rates 1, 2 and 4.
+      {make_spec(8, 8, {3, 3, 3}, {1, 1, 1}, {1, 1, 1}), {8, 8, 8, 8}},
+      {make_spec(8, 8, {3, 3, 3}, {1, 1, 1}, {1, 1, 1}), {8, 4, 8, 8}},
+      {make_spec(8, 8, {3, 3, 3}, {1, 1, 1}, {1, 1, 1}), {8, 2, 8, 8}},
+      // MiniSlowFast: slow pathway (after 4x temporal pooling), fast pathway.
+      {make_spec(3, 12, {1, 3, 3}, {1, 2, 2}, {0, 1, 1}), {3, 2, 16, 16}},
+      {make_spec(12, 16, {3, 3, 3}, {1, 1, 1}, {1, 1, 1}), {12, 2, 8, 8}},
+      {make_spec(3, 4, {3, 3, 3}, {1, 2, 2}, {1, 1, 1}), {3, 8, 16, 16}},
+      {make_spec(4, 8, {3, 3, 3}, {1, 1, 1}, {1, 1, 1}), {4, 8, 8, 8}},
+      // LstmNet's per-frame CNN.
+      {make_spec(3, 8, {1, 3, 3}, {1, 2, 2}, {0, 1, 1}), {3, 8, 16, 16}},
+      {make_spec(8, 16, {1, 3, 3}, {1, 1, 1}, {0, 1, 1}), {8, 8, 8, 8}},
   };
   for (std::size_t c = 0; c < cases.size(); ++c) {
-    const auto direct =
-        run_kernel(cases[c].spec, Conv3dKernel::kDirect, cases[c].in, 30 + c);
-    const auto gemm =
-        run_kernel(cases[c].spec, Conv3dKernel::kGemm, cases[c].in, 30 + c);
-    // Forward and weight/bias grads accumulate the identical chain in the
-    // identical order in both kernels — bitwise equal.
-    expect_bitwise_equal(direct.out, gemm.out, "forward");
-    expect_bitwise_equal(direct.gw, gemm.gw, "weight grad");
-    if (cases[c].spec.bias) {
-      expect_bitwise_equal(direct.gb, gemm.gb, "bias grad");
+    for (const bool post_relu : {false, true}) {
+      SCOPED_TRACE("case " + std::to_string(c) +
+                   (post_relu ? ", post-ReLU input" : ", signed input"));
+      expect_matches_reference(cases[c].spec, cases[c].in, 30 + c, post_relu);
     }
-    // The input gradient reduction is reassociated (sum over channels before
-    // the tap scatter): numerically equivalent, not bitwise.
-    ASSERT_EQ(direct.gx.shape(), gemm.gx.shape());
-    EXPECT_TRUE(direct.gx.allclose(gemm.gx, 1e-4f)) << "case " << c;
   }
-}
-
-TEST(Conv3dKernels, GemmBitwiseAcrossThreadCounts) {
-  auto run = [](std::size_t threads) {
-    ThreadPool pool(threads);
-    set_compute_pool(&pool);
-    const auto r = run_kernel(make_spec(3, 8, {3, 3, 3}, {1, 1, 1}, {1, 1, 1}),
-                              Conv3dKernel::kGemm, {3, 6, 10, 10}, 40);
-    set_compute_pool(nullptr);
-    return r;
-  };
-  const KernelRun serial = run(1);
-  const KernelRun parallel = run(8);
-  expect_bitwise_equal(serial.out, parallel.out, "gemm output");
-  expect_bitwise_equal(serial.gx, parallel.gx, "gemm grad_input");
-  expect_bitwise_equal(serial.gw, parallel.gw, "gemm weight grad");
-  expect_bitwise_equal(serial.gb, parallel.gb, "gemm bias grad");
 }
 
 TEST(Conv3dKernels, RepeatedBackwardAccumulatesIdentically) {
-  // Parameter gradients accumulate across backward calls; the GEMM path
-  // must seed its chains from the existing gradient exactly like the
-  // reference kernel does. The forwards change input shape (grow, then
-  // shrink back), so the GEMM path's reused patch matrix must resize, and
-  // each backward must read the patch matrix of its own forward.
-  const auto spec = make_spec(2, 3, {3, 3, 3}, {1, 1, 1}, {1, 1, 1});
-  auto run_three = [&](Conv3dKernel impl) {
-    Conv3dSpec s = spec;
-    s.kernel_impl = impl;
-    Rng rng(50);
-    Conv3d conv(s, rng);
-    Rng xrng(51);
-    std::vector<Tensor> out, gx;
-    for (const Tensor::Shape& shape : {Tensor::Shape{2, 3, 5, 5},
-                                       Tensor::Shape{2, 4, 6, 7},
-                                       Tensor::Shape{2, 3, 5, 5}}) {
-      const Tensor x = Tensor::uniform(shape, -1.0f, 1.0f, xrng);
-      const Tensor g =
-          Tensor::uniform(conv.output_shape(shape), -1.0f, 1.0f, xrng);
-      out.push_back(conv.forward(x));
-      gx.push_back(conv.backward(g));
-    }
-    return std::tuple(conv.parameters()[0]->grad, conv.parameters()[1]->grad,
-                      out, gx);
-  };
-  const auto [dw, db, dout, dgx] = run_three(Conv3dKernel::kDirect);
-  const auto [gw, gb, gout, ggx] = run_three(Conv3dKernel::kGemm);
-  expect_bitwise_equal(dw, gw, "accumulated weight grad");
-  expect_bitwise_equal(db, gb, "accumulated bias grad");
-  for (std::size_t i = 0; i < dout.size(); ++i) {
-    expect_bitwise_equal(dout[i], gout[i], "forward");
-    ASSERT_EQ(dgx[i].shape(), ggx[i].shape());
-    EXPECT_TRUE(dgx[i].allclose(ggx[i], 1e-4f)) << "forward " << i;
+  // Parameter gradients accumulate across backward calls; Conv3d must seed
+  // its chains from the existing gradient exactly like the oracle does. The
+  // forwards change input shape (grow, then shrink back), so the reused
+  // patch matrix must resize, and each backward must read the patch matrix
+  // of its own forward.
+  Rng rng(50);
+  Conv3d conv(make_spec(2, 3, {3, 3, 3}, {1, 1, 1}, {1, 1, 1}), rng);
+  randomize_bias(conv, rng);
+  ReferenceConv3d reference(conv);
+  Rng xrng(51);
+  for (const Tensor::Shape& shape : {Tensor::Shape{2, 3, 5, 5},
+                                     Tensor::Shape{2, 4, 6, 7},
+                                     Tensor::Shape{2, 3, 5, 5}}) {
+    const Tensor x = Tensor::uniform(shape, -1.0f, 1.0f, xrng);
+    const Tensor g =
+        Tensor::uniform(conv.output_shape(shape), -1.0f, 1.0f, xrng);
+    expect_bitwise_equal(reference.forward(x), conv.forward(x), "forward");
+    const Tensor reference_gx = reference.backward(g);
+    const Tensor gx = conv.backward(g);
+    ASSERT_EQ(reference_gx.shape(), gx.shape());
+    EXPECT_TRUE(reference_gx.allclose(gx, 1e-4f)) << "input grad";
   }
+  expect_bitwise_equal(reference.weight_grad(), conv.parameters()[0]->grad,
+                       "accumulated weight grad");
+  expect_bitwise_equal(reference.bias_grad(), conv.parameters()[1]->grad,
+                       "accumulated bias grad");
 }
 
 TEST(Conv3dKernels, CloneCopiesSpecAndWeightsExactly) {
   Rng rng(60);
-  Conv3d conv(make_spec(2, 3, {3, 3, 3}, {1, 2, 2}, {1, 1, 1}, true,
-                        Conv3dKernel::kGemm),
-              rng);
+  Conv3d conv(make_spec(2, 3, {3, 3, 3}, {1, 2, 2}, {1, 1, 1}), rng);
   auto clone = conv.clone();
   ASSERT_NE(clone, nullptr);
   auto* copy = dynamic_cast<Conv3d*>(clone.get());
   ASSERT_NE(copy, nullptr);
-  EXPECT_EQ(copy->spec().kernel_impl, Conv3dKernel::kGemm);
   EXPECT_EQ(copy->spec().in_channels, conv.spec().in_channels);
+  EXPECT_EQ(copy->spec().kernel, conv.spec().kernel);
   EXPECT_EQ(copy->spec().stride, conv.spec().stride);
+  EXPECT_EQ(copy->spec().padding, conv.spec().padding);
   ASSERT_EQ(copy->parameters().size(), conv.parameters().size());
   for (std::size_t i = 0; i < conv.parameters().size(); ++i) {
     expect_bitwise_equal(conv.parameters()[i]->value,
@@ -589,84 +587,6 @@ TEST(Conv3dKernels, CloneCopiesSpecAndWeightsExactly) {
   Rng xrng(61);
   const Tensor x = Tensor::uniform({2, 4, 6, 6}, -1.0f, 1.0f, xrng);
   expect_bitwise_equal(conv.forward(x), copy->forward(x), "cloned forward");
-}
-
-TEST(Conv3dKernels, ExtractorFeaturesBitwiseAcrossKernels) {
-  // Whole-model forward equality: flipping the process default kernel on a
-  // kAuto-spec'd architecture must not move a single feature bit.
-  const video::VideoGeometry geometry{8, 16, 16, 3};
-  auto spec = video::DatasetSpec::hmdb51_like(3);
-  spec.geometry = geometry;
-  const video::Video v = video::SyntheticGenerator(spec).make_video(0, 0, 7);
-  auto features = [&](Conv3dKernel impl) {
-    KernelGuard guard(impl);
-    Rng rng(70);
-    auto model = models::make_extractor(models::ModelKind::kC3D, geometry, 16,
-                                        rng);
-    model->set_training(false);
-    return model->extract(v);
-  };
-  expect_bitwise_equal(features(Conv3dKernel::kDirect),
-                       features(Conv3dKernel::kGemm), "C3D features");
-}
-
-// ---------------------------------------------------------------------------
-// End-to-end: the GEMM kernel reproduces the reference kernel's retrieval
-// lists and accepted perturbations on the seed fixtures.
-// ---------------------------------------------------------------------------
-
-TEST(Conv3dKernels, EndToEndAttackMatchesReferenceKernel) {
-  auto& w = duo::testing::TinyWorld::mutable_instance();
-  const auto& v = w.dataset.train[1];
-  const auto& vt = w.dataset.train[14];
-
-  attack::Perturbation support = [&] {
-    Rng rng(3);
-    attack::Perturbation p =
-        baselines::random_support(v.geometry(), 150, 3, rng);
-    Tensor noise =
-        Tensor::uniform(v.geometry().tensor_shape(), -10.0f, 10.0f, rng);
-    p.magnitude() = noise * p.pixel_mask() * p.frame_mask();
-    return p;
-  }();
-
-  struct E2E {
-    std::vector<metrics::RetrievalList> lists;
-    std::vector<double> t_history;
-    Tensor v_adv;
-    std::int64_t queries = 0;
-  };
-  auto run = [&](Conv3dKernel impl) {
-    KernelGuard guard(impl);
-    E2E e;
-    for (const auto& q : w.dataset.test) {
-      e.lists.push_back(w.victim->retrieve(q, 8));
-    }
-    retrieval::BlackBoxHandle handle(*w.victim);
-    const auto ctx = attack::make_objective_context(handle, v, vt, 8);
-    attack::SparseQueryConfig cfg;
-    cfg.iter_numQ = 30;
-    cfg.tau = 30.0f;
-    cfg.m = 8;
-    const auto result = attack::sparse_query(v, support, handle, ctx, cfg);
-    e.t_history = result.t_history;
-    e.v_adv = result.v_adv.data();
-    e.queries = result.queries_spent;
-    return e;
-  };
-
-  const E2E direct = run(Conv3dKernel::kDirect);
-  const E2E gemm = run(Conv3dKernel::kGemm);
-  ASSERT_EQ(direct.lists.size(), gemm.lists.size());
-  for (std::size_t i = 0; i < direct.lists.size(); ++i) {
-    EXPECT_EQ(direct.lists[i], gemm.lists[i]) << "retrieval list " << i;
-  }
-  EXPECT_EQ(direct.queries, gemm.queries);
-  ASSERT_EQ(direct.t_history.size(), gemm.t_history.size());
-  for (std::size_t i = 0; i < direct.t_history.size(); ++i) {
-    EXPECT_EQ(direct.t_history[i], gemm.t_history[i]) << "T at step " << i;
-  }
-  expect_bitwise_equal(direct.v_adv, gemm.v_adv, "accepted perturbations");
 }
 
 }  // namespace

@@ -48,13 +48,12 @@ struct ConvResult {
   std::vector<Tensor> param_grads;
 };
 
-ConvResult run_conv(std::size_t threads, nn::Conv3dKernel kernel) {
-  return with_compute_threads(threads, [kernel] {
+ConvResult run_conv(std::size_t threads) {
+  return with_compute_threads(threads, [] {
     Rng rng(42);
     nn::Conv3dSpec spec;
     spec.in_channels = 3;
     spec.out_channels = 8;
-    spec.kernel_impl = kernel;
     nn::Conv3d conv(spec, rng);
     const Tensor input = Tensor::uniform({3, 6, 10, 10}, -1.0f, 1.0f, rng);
     ConvResult r;
@@ -66,23 +65,20 @@ ConvResult run_conv(std::size_t threads, nn::Conv3dKernel kernel) {
   });
 }
 
-// Both kernels must be bitwise deterministic across thread counts: the
-// direct loops shard disjoint output channels, the im2col/GEMM path shards
-// disjoint accumulator tiles with thread-count-independent chains.
+// The im2col/GEMM path shards disjoint accumulator tiles with
+// thread-count-independent chains, and col2im shards disjoint input
+// channels, so forward and every grad are bitwise equal at any pool size.
 TEST(ParallelDeterminism, Conv3dForwardBackwardBitwiseAcrossThreadCounts) {
-  for (const auto kernel :
-       {nn::Conv3dKernel::kDirect, nn::Conv3dKernel::kGemm}) {
-    const ConvResult serial = run_conv(1, kernel);
-    for (const std::size_t threads : {2u, 8u}) {
-      const ConvResult parallel = run_conv(threads, kernel);
-      expect_bitwise_equal(serial.output, parallel.output, "conv3d output");
-      expect_bitwise_equal(serial.grad_input, parallel.grad_input,
-                           "conv3d grad_input");
-      ASSERT_EQ(serial.param_grads.size(), parallel.param_grads.size());
-      for (std::size_t i = 0; i < serial.param_grads.size(); ++i) {
-        expect_bitwise_equal(serial.param_grads[i], parallel.param_grads[i],
-                             "conv3d param grad");
-      }
+  const ConvResult serial = run_conv(1);
+  for (const std::size_t threads : {2u, 8u}) {
+    const ConvResult parallel = run_conv(threads);
+    expect_bitwise_equal(serial.output, parallel.output, "conv3d output");
+    expect_bitwise_equal(serial.grad_input, parallel.grad_input,
+                         "conv3d grad_input");
+    ASSERT_EQ(serial.param_grads.size(), parallel.param_grads.size());
+    for (std::size_t i = 0; i < serial.param_grads.size(); ++i) {
+      expect_bitwise_equal(serial.param_grads[i], parallel.param_grads[i],
+                           "conv3d param grad");
     }
   }
 }

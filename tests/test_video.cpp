@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <optional>
+#include <string>
 #include <unordered_set>
 
 #include "video/codec.hpp"
@@ -283,6 +286,58 @@ TEST(Codec, RejectsGarbageFile) {
 
 TEST(Codec, MissingFileReturnsNullopt) {
   EXPECT_FALSE(load_video("/tmp/does_not_exist_duo.duov").has_value());
+}
+
+// Writes a .duov file by hand: magic, a header with the given dimensions
+// (frames, width, height, channels), label 3, id 7, then `pixels` bytes
+// 0, 1, 2, ...
+void write_duov(const std::string& path, std::array<std::int64_t, 4> dims,
+                std::int64_t pixels) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write("DUOV1\0\0\0", 8);
+  const std::int64_t label = 3, id = 7;
+  for (const std::int64_t field : {dims[0], dims[1], dims[2], dims[3], label,
+                                   id}) {
+    out.write(reinterpret_cast<const char*>(&field), sizeof(field));
+  }
+  for (std::int64_t i = 0; i < pixels; ++i) out.put(static_cast<char>(i));
+}
+
+// The header is read from the file, so its dimensions must be checked
+// against the bytes that follow before the loader allocates for them. A
+// header that fits loads; one claiming more pixels than the file holds, a
+// product of about 3 GB, or one past 2^63 returns nullopt, and none may
+// throw (bad_alloc) or crash.
+TEST(Codec, HeaderMustFitTheFile) {
+  const std::string path = ::testing::TempDir() + "duo_codec_header.duov";
+  write_duov(path, {2, 3, 4, 1}, 24);
+  const auto loaded = load_video(path);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->geometry().tensor_shape(), (Tensor::Shape{2, 4, 3, 1}));
+  EXPECT_EQ(loaded->label(), 3);
+  EXPECT_EQ(loaded->id(), 7);
+  for (std::int64_t i = 0; i < 24; ++i) {
+    EXPECT_EQ(loaded->data()[i], static_cast<float>(i)) << i;
+  }
+
+  const std::int64_t k16 = std::int64_t{1} << 16;
+  const struct {
+    const char* label;
+    std::array<std::int64_t, 4> dims;
+  } hostile[] = {
+      {"one byte short", {2, 3, 4, 1}},
+      {"2^20 x 2^10 x 2^10 x 3", {std::int64_t{1} << 20, 1 << 10, 1 << 10, 3}},
+      {"2^16 on every axis", {k16, k16, k16, k16}},
+      {"zero frames", {0, 3, 4, 1}},
+      {"negative width", {2, -3, 4, 1}},
+  };
+  for (const auto& c : hostile) {
+    write_duov(path, c.dims, 23);
+    std::optional<Video> result;
+    EXPECT_NO_THROW(result = load_video(path)) << c.label;
+    EXPECT_FALSE(result.has_value()) << c.label;
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace
