@@ -1,6 +1,6 @@
 // attack_cli — flag-driven attack runner over a synthetic world.
 //
-//   ./build/examples/attack_cli --attack duo --victim TPN --dataset hmdb \
+//   ./build/examples/attack_cli --attack duo --victim TPN --dataset hmdb
 //       --k 400 --n 3 --tau 30 --queries 120 --pairs 3 --seed 7
 //
 // Flags (all optional):

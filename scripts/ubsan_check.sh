@@ -5,15 +5,16 @@
 # The loaders parse length prefixes, tensor headers and video headers from
 # files a crash or an attacker may have corrupted, the Alg. 2 driver's
 # checkpoint/resume path restores them, the register-tiled GEMM indexes edge
-# tiles by hand, and im2col addresses its zero-padded channel copies by hand.
+# tiles by hand, im2col addresses its zero-padded channel copies by hand,
+# and MaxPool3d indexes its taps through an offset table.
 # Signed overflow in a size computation, a misaligned or out-of-range cast,
 # or a bad shift there is undefined behaviour long before it is a crash.
 # Every serve and campaign suite runs through the billing ledger, whose
 # counters, histograms and reservoir draws the scheduler updates by hand.
 # This script configures a dedicated build tree with -DDUO_SANITIZE=undefined
 # and runs the serialization, SparseQuery, failure-mode, crash-recovery,
-# GEMM, Conv3d, parallel-determinism, serve, admission, campaign,
-# fairness and codec suites under UBSan.
+# GEMM, Conv3d, InstanceNorm/MaxPool/flat-scan oracle, parallel-determinism,
+# serve, admission, campaign, fairness and codec suites under UBSan.
 #
 # Usage: scripts/ubsan_check.sh [build-dir]   (default: build-ubsan)
 set -euo pipefail
@@ -26,11 +27,11 @@ cmake -B "$build_dir" -S "$repo_root" -DDUO_SANITIZE=undefined \
 cmake --build "$build_dir" -j "$(nproc)" \
   --target test_serialization test_sparse_query test_failure_modes \
   test_crash_recovery test_gemm test_gradcheck test_parallel_determinism \
-  test_serve test_campaign test_nn_layers test_video
+  test_serve test_campaign test_nn_layers test_video test_oracles
 
 # UBSan recovers and keeps going by default; halt_on_error turns the first
 # report into a test failure so CI stays loud.
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 ctest --test-dir "$build_dir" \
-  -R 'Serialization|SparseQuery|FailureModes|CrashRecovery|Gemm|Conv3d|ParallelDeterminism|Serve|Admission|Campaign|Fairness|Codec' \
+  -R 'Serialization|SparseQuery|FailureModes|CrashRecovery|Gemm|Conv3d|Oracle|ParallelDeterminism|Serve|Admission|Campaign|Fairness|Codec' \
   --output-on-failure --timeout 1800 -j "$(nproc)"

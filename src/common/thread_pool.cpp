@@ -8,10 +8,13 @@ namespace duo {
 
 namespace {
 
-// The pool whose worker_loop the current thread is running, if any. Lets
-// parallel_for detect re-entrant calls on the same pool and degrade to
-// inline execution instead of enqueueing against a saturated queue.
+// The pool whose worker_loop the current thread is running, if any, and the
+// pool whose parallel_for the current thread is draining as the caller, if
+// any. Either lets parallel_for detect a re-entrant call on the same pool
+// and degrade to inline execution instead of enqueueing against a
+// saturated queue.
 thread_local const ThreadPool* t_worker_pool = nullptr;
+thread_local const ThreadPool* t_caller_pool = nullptr;
 
 std::atomic<ThreadPool*> g_compute_pool{nullptr};
 
@@ -120,8 +123,10 @@ void ThreadPool::parallel_for(std::size_t count,
                               const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;
   // Inline paths: trivial loops, single-worker pools, re-entrant calls from
-  // one of our own workers, and stopped pools (static destruction).
-  if (count == 1 || workers_.size() <= 1 || in_worker_context() || stopped()) {
+  // one of our own workers or from our caller's own share, and stopped
+  // pools (static destruction).
+  if (count == 1 || workers_.size() <= 1 || in_worker_context() ||
+      t_caller_pool == this || stopped()) {
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
@@ -137,7 +142,11 @@ void ThreadPool::parallel_for(std::size_t count,
     // caller returned observes next >= count and exits without touching it.
     enqueue([state, count, &fn] { drain(*state, count, fn); });
   }
+  // drain() catches what fn throws, so restoring the marker needs no guard.
+  const ThreadPool* const outer_caller_pool = t_caller_pool;
+  t_caller_pool = this;
   drain(*state, count, fn);
+  t_caller_pool = outer_caller_pool;
 
   {
     std::unique_lock<std::mutex> lock(state->done_mutex);

@@ -7,10 +7,12 @@
 //
 // parallel_for is safe to call from anywhere, including from inside a task
 // already running on the same pool: the calling thread always participates in
-// draining its own work (caller-runs), and a call made from a worker of the
-// same pool degrades to inline execution instead of enqueueing against a
-// saturated pool. Without both properties, nested calls deadlock — the outer
-// task blocks a worker slot while its shards starve behind it.
+// draining its own work (caller-runs), and a call nested inside an outer
+// parallel_for on the same pool (from a worker, or from the caller's own
+// share) degrades to inline execution instead of enqueueing against a pool
+// the outer call already keeps busy. Without both properties, nested calls
+// deadlock — the outer task blocks a worker slot while its shards starve
+// behind it.
 
 #include <atomic>
 #include <condition_variable>
@@ -43,12 +45,13 @@ class ThreadPool {
   // Run fn(i) for i in [0, count), blocking until all complete. Exceptions
   // from fn propagate: the first one thrown is rethrown on the caller.
   //
-  // Re-entrant: when called from a worker thread of this same pool the
-  // indices run inline on that worker (the pool is already saturated with
-  // the outer loop's shards, so queueing would only add latency — or, if
-  // the caller merely waited, deadlock). From any other thread the caller
-  // drains indices alongside the workers, so forward progress never
-  // depends on a free worker slot.
+  // Re-entrant: when called from inside an outer parallel_for on this same
+  // pool — from a worker thread, or from the calling thread while it runs
+  // its own share of the outer indices — the indices run inline on that
+  // thread (the pool is already saturated with the outer loop's shards, so
+  // queueing would only add latency — or, if the caller merely waited,
+  // deadlock). From any other thread the caller drains indices alongside
+  // the workers, so forward progress never depends on a free worker slot.
   void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn);
 
   // True when the calling thread is one of this pool's workers.

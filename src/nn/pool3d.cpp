@@ -1,5 +1,8 @@
 #include "nn/pool3d.hpp"
 
+#include <cstdint>
+#include <vector>
+
 #include "common/thread_pool.hpp"
 
 namespace duo::nn {
@@ -9,6 +12,80 @@ std::int64_t pool_out_dim(std::int64_t in, std::int64_t k, std::int64_t s) {
   DUO_CHECK_MSG(in >= k, "pool window larger than input");
   return (in - k) / s + 1;
 }
+
+// One MaxPool3d channel's geometry, passed by value so the loops read it
+// from registers rather than through pointers the output stores may alias.
+struct MaxPoolGeom {
+  std::int64_t hi, wi;      // input H, W
+  std::int64_t to, ho, wo;  // output extent
+  std::int64_t st, sh, sw;  // stride
+  // Offset of each tap from its window's first element, in (dt, dh, dw)
+  // order; tap 0 is the first element itself.
+  const std::int64_t* tap_offsets;
+  std::int64_t taps;
+};
+
+// Windows along W that advance side by side, one vector lane each.
+constexpr std::int64_t kPoolLanes = 4;
+using PoolVec =
+    float __attribute__((vector_size(kPoolLanes * sizeof(float))));
+using TapVec = std::int32_t
+    __attribute__((vector_size(kPoolLanes * sizeof(std::int32_t))));
+
+// Lane l holds x[l * stride]. Built from scalars in one expression: a
+// per-lane store loop goes through the stack and stalls the vector load.
+inline PoolVec load_lanes(const float* x, std::int64_t stride) {
+  static_assert(kPoolLanes == 4);
+  return PoolVec{x[0], x[stride], x[2 * stride], x[3 * stride]};
+}
+
+// Every window is seeded from its first element rather than a -inf
+// sentinel (a window of all NaN or all -inf would otherwise keep no
+// argmax, and backward would scatter out of bounds), then visits its taps
+// in (dt, dh, dw) order and takes a tap only when it is strictly greater,
+// as a select rather than a branch. So the first strict maximum wins, a
+// leading NaN stays and a later one is never taken, and -0 never displaces
+// +0 (or the reverse). The argmax is the winning tap's flat input index.
+void max_pool_channel(const MaxPoolGeom g, const float* xc, std::int64_t base,
+                      float* yc, std::int64_t* ac) {
+  const std::int64_t* off = g.tap_offsets;
+  std::int64_t oi = 0;
+  for (std::int64_t ot = 0; ot < g.to; ++ot) {
+    for (std::int64_t oh = 0; oh < g.ho; ++oh) {
+      const std::int64_t row = ((ot * g.st) * g.hi + oh * g.sh) * g.wi;
+      std::int64_t ow = 0;
+      for (; ow + kPoolLanes <= g.wo; ow += kPoolLanes, oi += kPoolLanes) {
+        const float* x0 = xc + row + ow * g.sw;
+        PoolVec best = load_lanes(x0, g.sw);
+        TapVec tap = {};
+        for (std::int64_t t = 1; t < g.taps; ++t) {
+          const PoolVec v = load_lanes(x0 + off[t], g.sw);
+          const TapVec take = v > best;
+          best = take ? v : best;
+          tap = take ? static_cast<std::int32_t>(t) : tap;
+        }
+        for (std::int64_t l = 0; l < kPoolLanes; ++l) {
+          yc[oi + l] = best[l];
+          ac[oi + l] = base + row + (ow + l) * g.sw + off[tap[l]];
+        }
+      }
+      for (; ow < g.wo; ++ow, ++oi) {
+        const float* x0 = xc + row + ow * g.sw;
+        float best = x0[0];
+        std::int64_t tap = 0;
+        for (std::int64_t t = 1; t < g.taps; ++t) {
+          const float v = x0[off[t]];
+          const bool take = v > best;
+          best = take ? v : best;
+          tap = take ? t : tap;
+        }
+        yc[oi] = best;
+        ac[oi] = base + row + ow * g.sw + off[tap];
+      }
+    }
+  }
+}
+
 }  // namespace
 
 MaxPool3d::MaxPool3d(std::array<std::int64_t, 3> kernel,
@@ -22,52 +99,41 @@ Tensor MaxPool3d::forward(const Tensor& input) {
   cached_input_shape_ = input.shape();
   const std::int64_t c = input.shape()[0], ti = input.shape()[1],
                      hi = input.shape()[2], wi = input.shape()[3];
-  const std::int64_t to = pool_out_dim(ti, kernel_[0], stride_[0]);
-  const std::int64_t ho = pool_out_dim(hi, kernel_[1], stride_[1]);
-  const std::int64_t wo = pool_out_dim(wi, kernel_[2], stride_[2]);
+  std::vector<std::int64_t> tap_offsets;
+  for (std::int64_t dt = 0; dt < kernel_[0]; ++dt) {
+    for (std::int64_t dh = 0; dh < kernel_[1]; ++dh) {
+      for (std::int64_t dw = 0; dw < kernel_[2]; ++dw) {
+        tap_offsets.push_back((dt * hi + dh) * wi + dw);
+      }
+    }
+  }
+  const MaxPoolGeom g{
+      .hi = hi,
+      .wi = wi,
+      .to = pool_out_dim(ti, kernel_[0], stride_[0]),
+      .ho = pool_out_dim(hi, kernel_[1], stride_[1]),
+      .wo = pool_out_dim(wi, kernel_[2], stride_[2]),
+      .st = stride_[0],
+      .sh = stride_[1],
+      .sw = stride_[2],
+      .tap_offsets = tap_offsets.data(),
+      .taps = static_cast<std::int64_t>(tap_offsets.size()),
+  };
 
-  Tensor out({c, to, ho, wo});
-  argmax_.assign(static_cast<std::size_t>(out.size()), -1);
+  Tensor out({c, g.to, g.ho, g.wo});
+  argmax_.resize(static_cast<std::size_t>(out.size()));
   const float* x = input.data();
   float* y = out.data();
+  std::int64_t* arg = argmax_.data();
+  const std::int64_t in_per_channel = ti * hi * wi;
+  const std::int64_t out_per_channel = g.to * g.ho * g.wo;
 
   // Channels own disjoint slices of y and argmax_, so the channel loop is
   // safe to shard across threads with bitwise-identical results.
   compute_pool().parallel_for(static_cast<std::size_t>(c), [&](std::size_t ci) {
     const auto cc = static_cast<std::int64_t>(ci);
-    const float* xc = x + cc * ti * hi * wi;
-    std::int64_t oi = cc * to * ho * wo;
-    for (std::int64_t ot = 0; ot < to; ++ot) {
-      for (std::int64_t oh = 0; oh < ho; ++oh) {
-        for (std::int64_t ow = 0; ow < wo; ++ow, ++oi) {
-          // Seed from the window's first element rather than a -inf sentinel:
-          // a window of all NaN (or all -inf) never satisfies `x > best`, and
-          // a sentinel seed would leave best_idx == -1, making backward
-          // scatter to gx[-1]. Seeding keeps the argmax deterministic (first
-          // strict maximum wins, as before) and NaN-propagating.
-          const std::int64_t first =
-              ((ot * stride_[0]) * hi + oh * stride_[1]) * wi + ow * stride_[2];
-          float best = xc[first];
-          std::int64_t best_idx = cc * ti * hi * wi + first;
-          for (std::int64_t dt = 0; dt < kernel_[0]; ++dt) {
-            const std::int64_t it = ot * stride_[0] + dt;
-            for (std::int64_t dh = 0; dh < kernel_[1]; ++dh) {
-              const std::int64_t ih = oh * stride_[1] + dh;
-              for (std::int64_t dw = 0; dw < kernel_[2]; ++dw) {
-                const std::int64_t iw = ow * stride_[2] + dw;
-                const std::int64_t idx = (it * hi + ih) * wi + iw;
-                if (xc[idx] > best) {
-                  best = xc[idx];
-                  best_idx = cc * ti * hi * wi + idx;
-                }
-              }
-            }
-          }
-          y[oi] = best;
-          argmax_[static_cast<std::size_t>(oi)] = best_idx;
-        }
-      }
-    }
+    max_pool_channel(g, x + cc * in_per_channel, cc * in_per_channel,
+                     y + cc * out_per_channel, arg + cc * out_per_channel);
   });
   return out;
 }

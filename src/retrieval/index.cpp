@@ -41,20 +41,50 @@ bool DataNode::remove(std::int64_t id) {
   return true;
 }
 
+namespace {
+
+// Rows whose distance sums advance side by side. Each row still adds its
+// squared differences in feature order with the same expressions, so its
+// chain rounds exactly as a one-row loop's would; the group only lets the
+// core overlap the chains' add latencies.
+constexpr std::size_t kRowGroup = 8;
+
+// Squared L2 distance from q to each of G consecutive rows of f.
+template <std::size_t G>
+void row_distances(const float* q, const float* f, std::int64_t dim,
+                   double* acc) {
+  double a[G] = {};
+  for (std::int64_t i = 0; i < dim; ++i) {
+    for (std::size_t g = 0; g < G; ++g) {
+      const double d = static_cast<double>(q[i]) -
+                       f[static_cast<std::int64_t>(g) * dim + i];
+      a[g] += d * d;
+    }
+  }
+  for (std::size_t g = 0; g < G; ++g) acc[g] = a[g];
+}
+
+}  // namespace
+
 std::vector<Neighbor> DataNode::query(const Tensor& feature,
                                       std::size_t m) const {
   DUO_CHECK_MSG(feature.size() == dim_, "DataNode: query dim mismatch");
   const float* q = feature.data();
+  const std::size_t rows = ids_.size();
   std::vector<Neighbor> all;
-  all.reserve(ids_.size());
-  for (std::size_t r = 0; r < ids_.size(); ++r) {
+  all.reserve(rows);
+  for (std::size_t r = 0; r < rows;) {
+    double acc[kRowGroup];
+    const std::size_t group = rows - r >= kRowGroup ? kRowGroup : 1;
     const float* f = features_.data() + r * static_cast<std::size_t>(dim_);
-    double acc = 0.0;
-    for (std::int64_t i = 0; i < dim_; ++i) {
-      const double d = static_cast<double>(q[i]) - f[i];
-      acc += d * d;
+    if (group == kRowGroup) {
+      row_distances<kRowGroup>(q, f, dim_, acc);
+    } else {
+      row_distances<1>(q, f, dim_, acc);
     }
-    all.push_back({ids_[r], labels_[r], acc});
+    for (std::size_t g = 0; g < group; ++g, ++r) {
+      all.push_back({ids_[r], labels_[r], acc[g]});
+    }
   }
   const std::size_t k = std::min(m, all.size());
   std::partial_sort(all.begin(), all.begin() + static_cast<long>(k), all.end(),

@@ -100,13 +100,9 @@ std::vector<Neighbor> RetrievalSystem::retrieve_detailed(const video::Video& v,
 
 std::vector<Neighbor> RetrievalSystem::retrieve_feature(const Tensor& feature,
                                                         std::size_t m) const {
-  // Fan the shard scans out — unless this call is already running on a
-  // compute-pool worker (evaluate_map / the serve batch loop shard per
-  // query). A nested parallel_for would only re-drain the saturated pool
-  // through the caller-runs path; going serial here says so explicitly.
-  const bool parallel =
-      index_->shard_count() > 1 && !compute_pool().in_worker_context();
-  return index_->query(feature, m, parallel);
+  // Inside evaluate_map or the serve batch loop, which shard per query, the
+  // pool runs this nested fan-out inline.
+  return index_->query(feature, m, /*parallel=*/true);
 }
 
 bool RetrievalSystem::load_gallery_index(const std::string& path) {

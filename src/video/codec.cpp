@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <vector>
 
 namespace duo::video {
@@ -65,6 +66,12 @@ std::optional<Video> load_video(const std::string& path) {
   for (const std::int64_t dim : {h.frames, h.width, h.height, h.channels}) {
     if (dim <= 0 || dim > remaining / count) return std::nullopt;
     count *= dim;
+  }
+  // The label is stored in 64 bits but a Video holds an int; a label that
+  // would narrow is as malformed as a bad dimension.
+  if (h.label < std::numeric_limits<int>::min() ||
+      h.label > std::numeric_limits<int>::max()) {
+    return std::nullopt;
   }
   VideoGeometry g{h.frames, h.width, h.height, h.channels};
   std::vector<std::uint8_t> bytes(static_cast<std::size_t>(g.total_elements()));

@@ -238,7 +238,9 @@ TEST_P(SamplerSweep, IndicesMonotoneAndInRange) {
   for (std::size_t i = 0; i < idx.size(); ++i) {
     EXPECT_GE(idx[i], 0);
     EXPECT_LT(idx[i], total);
-    if (i > 0) EXPECT_GE(idx[i], idx[i - 1]);
+    if (i > 0) {
+      EXPECT_GE(idx[i], idx[i - 1]);
+    }
   }
 }
 

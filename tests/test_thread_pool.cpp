@@ -146,6 +146,40 @@ TEST(ThreadPool, NestedParallelForRunsInlineOnWorkers) {
   EXPECT_EQ(escaped.load(), 0);
 }
 
+// The caller's own share of an outer parallel_for is nested context too: a
+// parallel_for it issues on the same pool runs inline on the caller's
+// thread, as one issued from a worker does, instead of fanning out to
+// workers the outer call already keeps busy.
+TEST(ThreadPool, NestedCallFromCallerShareStaysOnCallerThread) {
+  ThreadPool pool(3);
+  std::atomic<int> started{0};
+  std::atomic<int> caller_items{0};
+  std::atomic<int> nested_items{0};
+  std::atomic<int> escaped{0};  // nested items that ran off the caller
+  run_with_deadline(
+      [&] {
+        const std::thread::id caller = std::this_thread::get_id();
+        // Four items for four participants: each blocks until all four run,
+        // so exactly one of them is the caller's.
+        pool.parallel_for(4, [&](std::size_t) {
+          started.fetch_add(1);
+          while (started.load() < 4) std::this_thread::yield();
+          if (std::this_thread::get_id() != caller) return;
+          caller_items.fetch_add(1);
+          // Slow items: a fan-out would hand some to the idle workers.
+          pool.parallel_for(16, [&](std::size_t) {
+            nested_items.fetch_add(1);
+            if (std::this_thread::get_id() != caller) escaped.fetch_add(1);
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+          });
+        });
+      },
+      std::chrono::seconds(10));
+  EXPECT_EQ(caller_items.load(), 1);
+  EXPECT_EQ(nested_items.load(), 16);
+  EXPECT_EQ(escaped.load(), 0);
+}
+
 TEST(ThreadPool, CallerRunsEvenWhenAllWorkersAreBusy) {
   ThreadPool pool(2);
   std::mutex m;

@@ -5,11 +5,15 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <optional>
 #include <string>
 #include <unordered_set>
 
+#include "common/rng.hpp"
 #include "video/codec.hpp"
 #include "video/frame_sampler.hpp"
 #include "video/synthetic.hpp"
@@ -289,13 +293,13 @@ TEST(Codec, MissingFileReturnsNullopt) {
 }
 
 // Writes a .duov file by hand: magic, a header with the given dimensions
-// (frames, width, height, channels), label 3, id 7, then `pixels` bytes
+// (frames, width, height, channels), `label`, id 7, then `pixels` bytes
 // 0, 1, 2, ...
 void write_duov(const std::string& path, std::array<std::int64_t, 4> dims,
-                std::int64_t pixels) {
+                std::int64_t pixels, std::int64_t label = 3) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write("DUOV1\0\0\0", 8);
-  const std::int64_t label = 3, id = 7;
+  const std::int64_t id = 7;
   for (const std::int64_t field : {dims[0], dims[1], dims[2], dims[3], label,
                                    id}) {
     out.write(reinterpret_cast<const char*>(&field), sizeof(field));
@@ -338,6 +342,130 @@ TEST(Codec, HeaderMustFitTheFile) {
     EXPECT_FALSE(result.has_value()) << c.label;
   }
   std::remove(path.c_str());
+}
+
+// The header stores the label in 64 bits; a Video holds an int. A label
+// outside int must be rejected, not narrowed (2^32 + 3 would load as 3).
+TEST(Codec, RejectsLabelOutsideInt) {
+  const std::string path = ::testing::TempDir() + "duo_codec_label.duov";
+  constexpr std::int64_t kMin = std::numeric_limits<int>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<int>::max();
+  for (const std::int64_t label : {kMin, std::int64_t{-1}, kMax}) {
+    write_duov(path, {2, 3, 4, 1}, 24, label);
+    const auto loaded = load_video(path);
+    ASSERT_TRUE(loaded.has_value()) << label;
+    EXPECT_EQ(loaded->label(), label);
+  }
+  for (const std::int64_t label :
+       {(std::int64_t{1} << 32) + 3, kMax + 1, kMin - 1,
+        std::numeric_limits<std::int64_t>::min()}) {
+    write_duov(path, {2, 3, 4, 1}, 24, label);
+    std::optional<Video> result;
+    EXPECT_NO_THROW(result = load_video(path)) << label;
+    EXPECT_FALSE(result.has_value()) << label;
+  }
+  std::remove(path.c_str());
+}
+
+// Seeded corruption of a saved video: bit flips, truncations and edits to
+// every header field (each dimension, the label and the id). Each mutant
+// must either be rejected or load a video no larger than the file's pixel
+// bytes that saves back and reloads equal; none may throw or crash.
+TEST(Codec, LoaderSurvivesSeededMutation) {
+  const std::string dir = ::testing::TempDir();
+  const std::string base_path = dir + "duo_codec_mutation_base.duov";
+  const std::string path = dir + "duo_codec_mutant.duov";
+  const std::string resaved_path = dir + "duo_codec_mutant_resaved.duov";
+
+  Rng rng(2024);
+  Video original(VideoGeometry{3, 5, 4, 3}, 11, 42);
+  for (std::int64_t i = 0; i < original.data().size(); ++i) {
+    original.data()[i] = static_cast<float>(rng.uniform_int(0, 255));
+  }
+  ASSERT_TRUE(save_video(original, base_path));
+  std::vector<char> base;
+  {
+    std::ifstream in(base_path, std::ios::binary);
+    base.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
+  constexpr std::size_t kHeaderBytes = 8 + 6 * sizeof(std::int64_t);
+  ASSERT_EQ(base.size(),
+            kHeaderBytes +
+                static_cast<std::size_t>(original.geometry().total_elements()));
+
+  // Values a hostile or corrupted header field takes.
+  const std::int64_t k64min = std::numeric_limits<std::int64_t>::min();
+  const std::int64_t k64max = std::numeric_limits<std::int64_t>::max();
+  const std::int64_t field_values[] = {
+      0, 1, 2, 3, 4, 5, 180, 181, -1, -2, k64min, k64max,
+      std::numeric_limits<int>::max(),
+      std::int64_t{std::numeric_limits<int>::max()} + 1,
+      std::numeric_limits<int>::min(),
+      std::int64_t{std::numeric_limits<int>::min()} - 1,
+      (std::int64_t{1} << 32) + 3, std::int64_t{1} << 62};
+
+  constexpr int kMutants = 12000;
+  int loaded_count = 0;
+  for (int m = 0; m < kMutants; ++m) {
+    std::vector<char> bytes = base;
+    switch (m % 3) {
+      case 0: {  // 1-8 bit flips anywhere in the file
+        const int flips = rng.uniform_int(1, 8);
+        for (int f = 0; f < flips; ++f) {
+          const auto at = rng.uniform_index(bytes.size());
+          bytes[at] = static_cast<char>(bytes[at] ^ (1 << rng.uniform_int(0, 7)));
+        }
+        break;
+      }
+      case 1:  // truncation to any shorter length
+        bytes.resize(rng.uniform_index(bytes.size()));
+        break;
+      default: {  // one header field (dimension, label or id) edited
+        const int field = (m / 3) % 6;
+        std::int64_t value = 0;
+        if (rng.uniform_int(0, 1) == 0) {
+          value = field_values[rng.uniform_index(std::size(field_values))];
+        } else {
+          std::memcpy(&value, bytes.data() + 8 + field * 8, sizeof(value));
+          value += rng.uniform_int(-3, 3);
+        }
+        std::memcpy(bytes.data() + 8 + field * 8, &value, sizeof(value));
+        break;
+      }
+    }
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    std::optional<Video> loaded;
+    ASSERT_NO_THROW(loaded = load_video(path)) << "mutant " << m;
+    if (!loaded) continue;
+    ++loaded_count;
+    const auto pixel_bytes =
+        static_cast<std::int64_t>(bytes.size() - kHeaderBytes);
+    ASSERT_LE(loaded->geometry().total_elements(), pixel_bytes)
+        << "mutant " << m;
+    ASSERT_TRUE(save_video(*loaded, resaved_path)) << "mutant " << m;
+    std::optional<Video> reloaded;
+    ASSERT_NO_THROW(reloaded = load_video(resaved_path)) << "mutant " << m;
+    ASSERT_TRUE(reloaded.has_value()) << "mutant " << m;
+    EXPECT_EQ(reloaded->geometry(), loaded->geometry()) << "mutant " << m;
+    EXPECT_EQ(reloaded->label(), loaded->label()) << "mutant " << m;
+    EXPECT_EQ(reloaded->id(), loaded->id()) << "mutant " << m;
+    ASSERT_EQ(reloaded->data().size(), loaded->data().size());
+    for (std::int64_t i = 0; i < loaded->data().size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(reloaded->data()[i]),
+                std::bit_cast<std::uint32_t>(loaded->data()[i]))
+          << "mutant " << m << " pixel " << i;
+    }
+  }
+  // Some mutants (pixel flips, id edits, smaller dimensions) stay loadable,
+  // so the save-back path above really ran.
+  EXPECT_GT(loaded_count, kMutants / 10);
+  std::remove(base_path.c_str());
+  std::remove(path.c_str());
+  std::remove(resaved_path.c_str());
 }
 
 }  // namespace
