@@ -1,7 +1,6 @@
 #include "attack/checkpoint.hpp"
 
-#include <cstring>
-#include <fstream>
+#include <algorithm>
 #include <istream>
 #include <ostream>
 
@@ -11,12 +10,14 @@ namespace duo::attack {
 
 namespace {
 
+using models::io::load_sealed;
 using models::io::read_f64;
 using models::io::read_f64_vec;
 using models::io::read_i64;
 using models::io::read_i64_vec;
 using models::io::read_tensor;
 using models::io::read_u64;
+using models::io::save_sealed;
 using models::io::write_f64;
 using models::io::write_f64_vec;
 using models::io::write_i64;
@@ -24,17 +25,12 @@ using models::io::write_i64_vec;
 using models::io::write_tensor;
 using models::io::write_u64;
 
-constexpr char kSparseQueryMagic[8] = {'D', 'U', 'O', 'A', '1', '\0', '\0',
+// 'DUOA2' and 'DUOD3' are sealed files (models::io::save_sealed); a 'DUOA1'
+// or 'DUOD2' checkpoint fails the magic check and a resumed run falls back
+// to a fresh start.
+constexpr char kSparseQueryMagic[8] = {'D', 'U', 'O', 'A', '2', '\0', '\0',
                                        '\0'};
-// 'DUOD2' added the objective-context lists; 'DUOD1' checkpoints are
-// rejected by the magic check and resumed runs fall back to a fresh start.
-constexpr char kDuoMagic[8] = {'D', 'U', 'O', 'D', '2', '\0', '\0', '\0'};
-
-bool check_magic(std::istream& in, const char (&magic)[8]) {
-  char buf[8];
-  in.read(buf, sizeof(buf));
-  return static_cast<bool>(in) && std::memcmp(buf, magic, sizeof(buf)) == 0;
-}
+constexpr char kDuoMagic[8] = {'D', 'U', 'O', 'D', '3', '\0', '\0', '\0'};
 
 void write_geometry(std::ostream& out, const video::VideoGeometry& g) {
   write_i64(out, g.frames);
@@ -48,11 +44,17 @@ bool read_geometry(std::istream& in, video::VideoGeometry& g) {
          read_i64(in, g.height) && read_i64(in, g.channels);
 }
 
+bool read_flag(std::istream& in, bool& flag) {
+  std::uint64_t v = 0;
+  if (!read_u64(in, v) || v > 1) return false;
+  flag = v == 1;
+  return true;
+}
+
 }  // namespace
 
 bool save_checkpoint(const SparseQueryCheckpoint& ck, const std::string& path) {
-  return models::io::atomic_write(path, [&](std::ostream& out) {
-    out.write(kSparseQueryMagic, sizeof(kSparseQueryMagic));
+  return save_sealed(path, kSparseQueryMagic, [&](std::ostream& out) {
     write_geometry(out, ck.geometry);
     write_u64(out, ck.seed);
     write_i64(out, ck.support_size);
@@ -70,34 +72,40 @@ bool save_checkpoint(const SparseQueryCheckpoint& ck, const std::string& path) {
 }
 
 bool load_checkpoint(SparseQueryCheckpoint& ck, const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in || !check_magic(in, kSparseQueryMagic)) return false;
-
   SparseQueryCheckpoint staged;
-  if (!read_geometry(in, staged.geometry) || !read_u64(in, staged.seed) ||
-      !read_i64(in, staged.support_size) || !read_u64(in, staged.source_hash) ||
-      !read_i64(in, staged.next_iteration) || !read_f64(in, staged.t_current) ||
-      !read_f64_vec(in, staged.t_history) || !read_i64(in, staged.queries) ||
-      !read_i64(in, staged.stall) || !read_u64(in, staged.rng_state) ||
-      !read_i64_vec(in, staged.deck) || !read_i64(in, staged.deck_pos) ||
-      !read_tensor(in, staged.v_adv)) {
-    return false;
-  }
-  // Internal consistency: the cursor must sit inside the deck and the video
-  // payload must match the recorded geometry.
-  if (staged.deck_pos < 0 ||
-      staged.deck_pos > static_cast<std::int64_t>(staged.deck.size()) ||
-      staged.next_iteration < 1 ||
-      staged.v_adv.size() != staged.geometry.total_elements()) {
-    return false;
-  }
+  const auto read = [&](std::istream& in) {
+    if (!read_geometry(in, staged.geometry) || !read_u64(in, staged.seed) ||
+        !read_i64(in, staged.support_size) ||
+        !read_u64(in, staged.source_hash) ||
+        !read_i64(in, staged.next_iteration) ||
+        !read_f64(in, staged.t_current) ||
+        !read_f64_vec(in, staged.t_history) || !read_i64(in, staged.queries) ||
+        !read_i64(in, staged.stall) || !read_u64(in, staged.rng_state) ||
+        !read_i64_vec(in, staged.deck) || !read_i64(in, staged.deck_pos) ||
+        !read_tensor(in, staged.v_adv)) {
+      return false;
+    }
+    // Internal consistency: the cursor sits inside the deck, the video has
+    // the recorded geometry's shape (compared per dimension, so a corrupt
+    // geometry cannot overflow an element count), and every deck entry is
+    // an element of that video.
+    return staged.deck_pos >= 0 &&
+           staged.deck_pos <= static_cast<std::int64_t>(staged.deck.size()) &&
+           staged.next_iteration >= 1 &&
+           staged.v_adv.shape() == staged.geometry.tensor_shape() &&
+           std::all_of(staged.deck.begin(), staged.deck.end(),
+                       [&](std::int64_t d) {
+                         return d >= 0 && d < staged.v_adv.size();
+                       });
+  };
+  // Stage, then commit: a failed load leaves `ck` untouched.
+  if (!load_sealed(path, kSparseQueryMagic, read)) return false;
   ck = std::move(staged);
   return true;
 }
 
 bool save_checkpoint(const DuoCheckpoint& ck, const std::string& path) {
-  return models::io::atomic_write(path, [&](std::ostream& out) {
-    out.write(kDuoMagic, sizeof(kDuoMagic));
+  return save_sealed(path, kDuoMagic, [&](std::ostream& out) {
     write_geometry(out, ck.geometry);
     write_u64(out, ck.source_hash);
     write_i64(out, ck.iter_numH);
@@ -119,36 +127,28 @@ bool save_checkpoint(const DuoCheckpoint& ck, const std::string& path) {
 }
 
 bool load_checkpoint(DuoCheckpoint& ck, const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in || !check_magic(in, kDuoMagic)) return false;
-
   DuoCheckpoint staged;
-  std::uint64_t has_ctx = 0;
-  std::uint64_t has_init = 0;
-  if (!read_geometry(in, staged.geometry) || !read_u64(in, staged.source_hash) ||
-      !read_i64(in, staged.iter_numH) || !read_i64(in, staged.next_round) ||
-      !read_f64_vec(in, staged.t_history) || !read_i64(in, staged.queries) ||
-      !read_u64(in, has_ctx) || has_ctx > 1) {
-    return false;
-  }
-  staged.has_ctx = has_ctx == 1;
-  if (staged.has_ctx && (!read_i64_vec(in, staged.list_v) ||
-                         !read_i64_vec(in, staged.list_vt))) {
-    return false;
-  }
-  if (!read_tensor(in, staged.v_cur) || !read_u64(in, has_init) ||
-      has_init > 1) {
-    return false;
-  }
-  staged.has_init = has_init == 1;
-  if (staged.has_init && (!read_tensor(in, staged.pixel_mask) ||
-                          !read_tensor(in, staged.frame_mask))) {
-    return false;
-  }
-  if (staged.next_round < 0 ||
-      staged.v_cur.size() != staged.geometry.total_elements()) {
-    return false;
-  }
+  const auto read = [&](std::istream& in) {
+    if (!read_geometry(in, staged.geometry) ||
+        !read_u64(in, staged.source_hash) || !read_i64(in, staged.iter_numH) ||
+        !read_i64(in, staged.next_round) ||
+        !read_f64_vec(in, staged.t_history) || !read_i64(in, staged.queries) ||
+        !read_flag(in, staged.has_ctx) ||
+        (staged.has_ctx && (!read_i64_vec(in, staged.list_v) ||
+                            !read_i64_vec(in, staged.list_vt))) ||
+        !read_tensor(in, staged.v_cur) || !read_flag(in, staged.has_init) ||
+        (staged.has_init && (!read_tensor(in, staged.pixel_mask) ||
+                             !read_tensor(in, staged.frame_mask)))) {
+      return false;
+    }
+    // The round input and both masks have the recorded geometry's shape.
+    const Tensor::Shape shape = staged.geometry.tensor_shape();
+    return staged.next_round >= 0 && staged.v_cur.shape() == shape &&
+           (!staged.has_init || (staged.pixel_mask.shape() == shape &&
+                                 staged.frame_mask.shape() == shape));
+  };
+  // Stage, then commit: a failed load leaves `ck` untouched.
+  if (!load_sealed(path, kDuoMagic, read)) return false;
   ck = std::move(staged);
   return true;
 }

@@ -10,12 +10,13 @@
 // stopped and finishes with a final adversarial video bitwise identical to
 // an uninterrupted run.
 //
-// Format notes: binary, host byte order, written atomically (tmp + rename,
-// models::io::atomic_write) so a crash mid-checkpoint never corrupts the
-// previous one. Every checkpoint embeds a fingerprint of the inputs it was
-// taken against (geometry, seed, source-video hash); load_* rejects a
-// checkpoint whose fingerprint does not match, returning false so the
-// caller falls back to a fresh start.
+// Format notes: sealed state files (models::io::save_sealed), so a crash
+// mid-checkpoint never corrupts the previous one and load_* rejects a torn
+// or bit-flipped file by its payload digest before parsing it. Every
+// checkpoint also records the inputs it was taken against (geometry, seed,
+// source-video hash), which the resuming attack compares with its own. A
+// checkpoint that fails to load or does not match falls back to a fresh
+// start.
 
 #include <cstdint>
 #include <string>

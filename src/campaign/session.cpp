@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <exception>
-#include <fstream>
 #include <utility>
 
 #include "attack/duo.hpp"
@@ -22,8 +21,7 @@ namespace {
 namespace io = models::io;
 
 constexpr std::uint64_t kFnvBasis = 0xCBF29CE484222325ULL;
-// "DUOCAMP1" — benign-stream checkpoint magic.
-constexpr std::uint64_t kBenignMagic = 0x44554F43414D5031ULL;
+constexpr char kBenignMagic[8] = {'D', 'U', 'O', 'C', 'A', 'M', 'P', '2'};
 
 std::uint64_t fold_list(std::uint64_t hash,
                         const metrics::RetrievalList& list) {
@@ -46,8 +44,7 @@ struct BenignCheckpoint {
 };
 
 bool save_benign(const BenignCheckpoint& ck, const std::string& path) {
-  return io::atomic_write(path, [&](std::ostream& out) {
-    io::write_u64(out, kBenignMagic);
+  return io::save_sealed(path, kBenignMagic, [&](std::ostream& out) {
     io::write_u64(out, ck.seed);
     io::write_i64(out, ck.m);
     io::write_i64(out, ck.queries);
@@ -60,17 +57,16 @@ bool save_benign(const BenignCheckpoint& ck, const std::string& path) {
 }
 
 bool load_benign(BenignCheckpoint& ck, const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
   BenignCheckpoint staged;
-  std::uint64_t magic = 0;
-  if (!io::read_u64(in, magic) || magic != kBenignMagic) return false;
-  if (!io::read_u64(in, staged.seed) || !io::read_i64(in, staged.m) ||
-      !io::read_i64(in, staged.queries) ||
-      !io::read_i64(in, staged.roster_size) || !io::read_i64(in, staged.next) ||
-      !io::read_u64(in, staged.rng_state) ||
-      !io::read_u64(in, staged.answer_hash) ||
-      !io::read_i64(in, staged.billed_before)) {
+  if (!io::load_sealed(path, kBenignMagic, [&](std::istream& in) {
+        return io::read_u64(in, staged.seed) && io::read_i64(in, staged.m) &&
+               io::read_i64(in, staged.queries) &&
+               io::read_i64(in, staged.roster_size) &&
+               io::read_i64(in, staged.next) &&
+               io::read_u64(in, staged.rng_state) &&
+               io::read_u64(in, staged.answer_hash) &&
+               io::read_i64(in, staged.billed_before);
+      })) {
     return false;
   }
   ck = staged;

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <limits>
 #include <ostream>
+#include <sstream>
 #include <vector>
 
 #ifndef _WIN32
@@ -249,60 +250,79 @@ bool atomic_write(const std::string& path,
   return true;
 }
 
+bool save_sealed(const std::string& path, const char (&magic)[8],
+                 const std::function<void(std::ostream&)>& write) {
+  // A crash mid-save can never publish a digest that matches truncated
+  // bytes: the payload is complete before the file is opened.
+  std::ostringstream payload_out(std::ios::binary);
+  write(payload_out);
+  if (!payload_out) return false;
+  const std::string payload = std::move(payload_out).str();
+  return atomic_write(path, [&](std::ostream& out) {
+    out.write(magic, sizeof(magic));
+    write_u64(out, fnv1a(payload.data(), payload.size()));
+    write_i64(out, static_cast<std::int64_t>(payload.size()));
+    out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+  });
+}
+
+bool load_sealed(const std::string& path, const char (&magic)[8],
+                 const std::function<bool(std::istream&)>& read) {
+  std::ifstream in(path, std::ios::binary);
+  char found[sizeof(magic)] = {};
+  std::uint64_t digest = 0;
+  std::int64_t size = 0;
+  if (!in.read(found, sizeof(found)) ||
+      std::memcmp(found, magic, sizeof(found)) != 0 ||
+      !read_u64(in, digest) || !read_i64(in, size) ||
+      !payload_fits(in, size, 1)) {
+    return false;
+  }
+  std::string payload(static_cast<std::size_t>(size), '\0');
+  if (!in.read(payload.data(), size) ||
+      fnv1a(payload.data(), payload.size()) != digest) {
+    return false;
+  }
+  std::istringstream payload_in(std::move(payload), std::ios::binary);
+  return read(payload_in);
+}
+
 }  // namespace io
 
 namespace {
-constexpr char kMagic[8] = {'D', 'U', 'O', 'W', '1', '\0', '\0', '\0'};
+constexpr char kMagic[8] = {'D', 'U', 'O', 'W', '2', '\0', '\0', '\0'};
 }
 
 bool save_parameters(FeatureExtractor& extractor, const std::string& path) {
   const auto params = extractor.parameters();
-  return io::atomic_write(path, [&](std::ostream& out) {
-    out.write(kMagic, sizeof(kMagic));
+  return io::save_sealed(path, kMagic, [&](std::ostream& out) {
     io::write_i64(out, static_cast<std::int64_t>(params.size()));
-    for (const auto* p : params) io::write_i64(out, p->size());
-    for (const auto* p : params) {
-      out.write(reinterpret_cast<const char*>(p->value.data()),
-                static_cast<std::streamsize>(p->size() * sizeof(float)));
-    }
+    for (const auto* p : params) io::write_tensor(out, p->value);
   });
 }
 
 bool load_parameters(FeatureExtractor& extractor, const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-
-  char magic[8];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) return false;
-
   const auto params = extractor.parameters();
-  std::int64_t count = 0;
-  if (!io::read_i64(in, count) ||
-      count != static_cast<std::int64_t>(params.size())) {
-    return false;
-  }
-
-  std::vector<std::int64_t> sizes(static_cast<std::size_t>(count));
-  for (auto& s : sizes) {
-    if (!io::read_i64(in, s)) return false;
-  }
+  // All-or-nothing: stage every tensor, then commit.
+  std::vector<Tensor> staged(params.size());
+  const bool parsed = io::load_sealed(path, kMagic, [&](std::istream& in) {
+    std::int64_t count = 0;
+    if (!io::read_i64(in, count) ||
+        count != static_cast<std::int64_t>(params.size())) {
+      return false;
+    }
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      if (!io::read_tensor(in, staged[i]) ||
+          staged[i].shape() != params[i]->value.shape()) {
+        return false;
+      }
+    }
+    return true;
+  });
+  if (!parsed) return false;
   for (std::size_t i = 0; i < params.size(); ++i) {
-    if (sizes[i] != params[i]->size()) return false;
-  }
-
-  // All-or-nothing: stage into buffers, then commit.
-  std::vector<std::vector<float>> staged(params.size());
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    staged[i].resize(static_cast<std::size_t>(sizes[i]));
-    in.read(reinterpret_cast<char*>(staged[i].data()),
-            static_cast<std::streamsize>(staged[i].size() * sizeof(float)));
-  }
-  if (!in) return false;
-
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    float* dst = params[i]->value.data();
-    std::memcpy(dst, staged[i].data(), staged[i].size() * sizeof(float));
+    std::memcpy(params[i]->value.data(), staged[i].data(),
+                staged[i].size() * sizeof(float));
   }
   return true;
 }

@@ -1,20 +1,22 @@
 #pragma once
 
-// Binary serialization. Two layers:
+// Binary serialization. Three layers:
 //
-//  - models::io — small primitives (integers, doubles, tensors, vectors,
-//    FNV-1a fingerprints, atomic file commit) shared by every checkpoint
-//    format in the library. All multi-byte values are written in the host's
-//    native byte order; checkpoints are a single-machine resume/deploy
-//    mechanism, not an interchange format.
-//  - save_parameters / load_parameters — flat checkpoint of all parameters
-//    of a FeatureExtractor, in parameter-iteration order. A checkpoint only
-//    loads back into the identical architecture/feature-dim/geometry
-//    (validated via a layout fingerprint), which is exactly the deployment
-//    story the library needs: train a victim once, attack it across bench
-//    runs.
-//
-// Attack-state checkpoints (src/attack/checkpoint.hpp) build on models::io.
+//  - models::io primitives — integers, doubles, tensors, vectors, FNV-1a
+//    fingerprints and atomic file commit. All multi-byte values are written
+//    in the host's native byte order; state files are a single-machine
+//    resume/deploy mechanism, not an interchange format.
+//  - models::io::save_sealed / load_sealed — the one sealed state file.
+//    Every binary state format in the library (gallery index, server
+//    snapshot, model weights, the SparseQuery and DUO checkpoints, the
+//    campaign benign checkpoint) is a payload inside this envelope; a format
+//    owns only its magic, its payload writer and reader, and the staging
+//    that leaves its target untouched when a load fails.
+//  - save_parameters / load_parameters — every parameter tensor of a
+//    FeatureExtractor, in parameter-iteration order. A file only loads back
+//    into the identical architecture/feature-dim/geometry (every parameter's
+//    shape must match), which is exactly the deployment story the library
+//    needs: train a victim once, attack it across bench runs.
 
 #include <cstdint>
 #include <functional>
@@ -68,9 +70,10 @@ bool read_i8_vec(std::istream& in, std::vector<std::int8_t>& v);
 void write_string(std::ostream& out, const std::string& s);
 bool read_string(std::istream& in, std::string& s);
 
-// FNV-1a over raw bytes — the fingerprint used to bind an attack checkpoint
-// to the exact inputs it was taken against. The basis overload chains: pass
-// a previous digest to fold additional bytes into a running hash.
+// FNV-1a over raw bytes — the digest of a sealed file's payload, and the
+// fingerprint that binds an attack checkpoint to the exact inputs it was
+// taken against. The basis overload chains: pass a previous digest to fold
+// additional bytes into a running hash.
 std::uint64_t fnv1a(const void* data, std::size_t bytes);
 std::uint64_t fnv1a(const void* data, std::size_t bytes, std::uint64_t basis);
 std::uint64_t fnv1a(const Tensor& t);
@@ -85,15 +88,28 @@ std::uint64_t fnv1a(const Tensor& t);
 bool atomic_write(const std::string& path,
                   const std::function<void(std::ostream&)>& write);
 
+// Sealed state file: 8-byte magic, FNV-1a of the payload (u64), payload size
+// (i64), payload. save_sealed serializes `write`'s payload to memory first,
+// so the digest can lead it, then commits the file through atomic_write.
+// load_sealed checks the magic, checks the claimed size against the bytes
+// left in the file before it allocates, and checks the digest before
+// `read` sees a byte; it returns false on any of those failures and
+// otherwise `read`'s verdict on a stream over the payload.
+bool save_sealed(const std::string& path, const char (&magic)[8],
+                 const std::function<void(std::ostream&)>& write);
+bool load_sealed(const std::string& path, const char (&magic)[8],
+                 const std::function<bool(std::istream&)>& read);
+
 }  // namespace io
 
-// Save every parameter tensor of `extractor` to `path`. Returns false on
-// I/O failure.
+// Save every parameter tensor of `extractor` to `path` as a sealed file.
+// Returns false on I/O failure.
 bool save_parameters(FeatureExtractor& extractor, const std::string& path);
 
-// Load a checkpoint written by save_parameters into `extractor`. Returns
-// false on I/O failure or if the checkpoint's parameter layout (count and
-// per-parameter sizes) does not match the extractor.
+// Load a file written by save_parameters into `extractor`, all or nothing.
+// Returns false on I/O failure, a failed envelope check, or if the file's
+// parameter layout (count and per-parameter shapes) does not match the
+// extractor.
 bool load_parameters(FeatureExtractor& extractor, const std::string& path);
 
 }  // namespace duo::models

@@ -20,50 +20,8 @@ class ReLU final : public Module {
   Tensor cached_input_;
 };
 
-// Hyperbolic tangent.
-class Tanh final : public Module {
- public:
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
-  std::unique_ptr<Module> clone() const override {
-    return std::make_unique<Tanh>();
-  }
-  std::string name() const override { return "Tanh"; }
-
- private:
-  Tensor cached_output_;
-};
-
-// Logistic sigmoid.
-class Sigmoid final : public Module {
- public:
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
-  std::unique_ptr<Module> clone() const override {
-    return std::make_unique<Sigmoid>();
-  }
-  std::string name() const override { return "Sigmoid"; }
-
- private:
-  Tensor cached_output_;
-};
-
 // Functional forms, used by LSTM gates where module state is unnecessary.
 float sigmoid_scalar(float x) noexcept;
 float tanh_scalar(float x) noexcept;
-
-// Reshape to a flat vector [numel]; backward restores the original shape.
-class Flatten final : public Module {
- public:
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
-  std::unique_ptr<Module> clone() const override {
-    return std::make_unique<Flatten>();
-  }
-  std::string name() const override { return "Flatten"; }
-
- private:
-  Tensor::Shape cached_shape_;
-};
 
 }  // namespace duo::nn

@@ -145,7 +145,7 @@ class GalleryIndex {
   // saved one, but always restores NON-degraded with the configured nprobe:
   // degraded mode is a live-load response and re-enters only via the serve
   // layer's hysteresis ladder. Use save_index/load_index below for the
-  // fingerprint-validated atomic file wrapper.
+  // sealed, atomically written file wrapper.
   virtual void save_state(std::ostream& out) const = 0;
   virtual bool load_state(std::istream& in) = 0;
 };
@@ -155,9 +155,9 @@ class GalleryIndex {
 std::unique_ptr<GalleryIndex> make_index(std::int64_t feature_dim,
                                          const IndexConfig& config);
 
-// Durable index files (index_io.cpp): magic + FNV-1a fingerprint over the
-// save_state payload, committed via models::io::atomic_write (flush + fsync
-// + rename), so a crash mid-save never corrupts the previous snapshot and a
+// Durable index files (index_io.cpp): the save_state payload in a sealed
+// state file (models::io::save_sealed: digest-checked, flush + fsync +
+// rename), so a crash mid-save never corrupts the previous snapshot and a
 // truncated/bit-flipped file is rejected at load instead of silently
 // answering queries from garbage. load_index leaves `index` untouched on
 // failure.

@@ -1,7 +1,3 @@
-#include <cstring>
-#include <fstream>
-#include <limits>
-#include <sstream>
 #include <string>
 
 #include "retrieval/index.hpp"
@@ -11,51 +7,19 @@
 namespace duo::retrieval {
 namespace {
 
-// 8-byte magic for durable index snapshot files (versioned like the model
-// checkpoint magic "DUOW1" in models/serialization.cpp).
 constexpr char kIndexMagic[8] = {'D', 'U', 'O', 'I', 'X', '1', '\0', '\0'};
 
 }  // namespace
 
 bool save_index(const GalleryIndex& index, const std::string& path) {
-  namespace mio = models::io;
-  // Serialize to memory first so the fingerprint can lead the payload: a
-  // loader then validates before parsing, and a crash mid-save can never
-  // publish a file whose digest matches truncated bytes.
-  std::ostringstream payload_out(std::ios::binary);
-  index.save_state(payload_out);
-  const std::string payload = payload_out.str();
-  return mio::atomic_write(path, [&](std::ostream& out) {
-    out.write(kIndexMagic, sizeof(kIndexMagic));
-    mio::write_u64(out, mio::fnv1a(payload.data(), payload.size()));
-    mio::write_i64(out, static_cast<std::int64_t>(payload.size()));
-    out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  });
+  return models::io::save_sealed(
+      path, kIndexMagic, [&](std::ostream& out) { index.save_state(out); });
 }
 
 bool load_index(GalleryIndex& index, const std::string& path) {
-  namespace mio = models::io;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-
-  char magic[8];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kIndexMagic, sizeof(kIndexMagic)) != 0) {
-    return false;
-  }
-  std::uint64_t fingerprint = 0;
-  std::int64_t size = 0;
-  if (!mio::read_u64(in, fingerprint) || !mio::read_i64(in, size) || size < 0 ||
-      size > std::numeric_limits<std::int32_t>::max()) {
-    return false;
-  }
-  std::string payload(static_cast<std::size_t>(size), '\0');
-  in.read(payload.data(), static_cast<std::streamsize>(payload.size()));
-  if (!in) return false;
-  if (mio::fnv1a(payload.data(), payload.size()) != fingerprint) return false;
-
-  std::istringstream payload_in(payload, std::ios::binary);
-  return index.load_state(payload_in);
+  return models::io::load_sealed(path, kIndexMagic, [&](std::istream& in) {
+    return index.load_state(in);
+  });
 }
 
 }  // namespace duo::retrieval

@@ -108,7 +108,7 @@ std::vector<Neighbor> RetrievalSystem::retrieve_feature(const Tensor& feature,
 bool RetrievalSystem::load_gallery_index(const std::string& path) {
   // Stage into a scratch index so a rejected file leaves the live one
   // untouched, then sanity-check the restored entry count against the label
-  // bookkeeping this system already holds — the file fingerprint catches
+  // bookkeeping this system already holds — the file's digest catches
   // corruption, this catches "valid snapshot of the wrong gallery".
   auto staged = make_index(extractor_->feature_dim(), index_config_);
   if (!retrieval::load_index(*staged, path)) return false;

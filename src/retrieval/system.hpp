@@ -56,9 +56,9 @@ class RetrievalSystem {
   std::vector<Neighbor> retrieve_detailed(const video::Video& v,
                                           std::size_t m);
   // Retrieval for a precomputed feature (no extractor forward). The index
-  // scan fans out across shards on compute_pool() — except when the caller
-  // is already a pool worker (evaluate_map's per-query fan-out), where the
-  // scan runs serially instead of re-entering the saturated pool.
+  // scan fans out across shards on compute_pool(); called from inside an
+  // outer fan-out (evaluate_map's per-query loop, the serve batch loop), the
+  // pool runs the nested scan inline on the calling thread.
   std::vector<Neighbor> retrieve_feature(const Tensor& feature,
                                          std::size_t m) const;
 
@@ -69,7 +69,7 @@ class RetrievalSystem {
   bool set_index_degraded(bool on) { return index_->set_degraded(on); }
   bool index_degraded() const noexcept { return index_->degraded(); }
 
-  // Durable gallery snapshots (fingerprint-validated atomic files — see
+  // Durable gallery snapshots (sealed, atomically written files — see
   // retrieval::save_index / load_index). load_gallery_index stages the file
   // into a scratch index built from this system's config, validates that the
   // restored entry count matches the label bookkeeping (a snapshot of a

@@ -545,11 +545,11 @@ void RetrievalServer::process_batch(std::vector<Request>& batch) {
   }
 
   // Answer the index lookups for every request that will need one, fanned
-  // out across the compute pool (each inner shard scan goes serial via
-  // RetrievalSystem::retrieve_feature's worker-context guard, so this is a
-  // flat per-request fan-out, not nested). Answers are bitwise identical to
-  // the serial loop — each slot is written by exactly one worker — and
-  // fulfillment below stays in arrival order.
+  // out across the compute pool (the pool runs each request's nested shard
+  // scan inline on the thread that took the request, so this is a flat
+  // per-request fan-out). Answers are bitwise identical to the serial loop
+  // — each slot is written by exactly one worker — and fulfillment below
+  // stays in arrival order.
   struct Answer {
     metrics::RetrievalList list;
     std::exception_ptr error;

@@ -314,10 +314,10 @@ struct ServerSnapshot {
       default;
 };
 
-// Durable snapshot files: magic + FNV-1a fingerprint over the payload,
-// committed via models::io::atomic_write — same corruption guarantees as
-// retrieval::save_index / load_index. load_snapshot leaves `snap` untouched
-// on a malformed, truncated, or fingerprint-mismatched file.
+// Durable snapshot files: sealed state files (models::io::save_sealed) —
+// same corruption guarantees as retrieval::save_index / load_index.
+// load_snapshot leaves `snap` untouched on a malformed, truncated, or
+// digest-mismatched file.
 bool save_snapshot(const ServerSnapshot& snap, const std::string& path);
 bool load_snapshot(ServerSnapshot& snap, const std::string& path);
 

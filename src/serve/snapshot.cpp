@@ -1,8 +1,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -15,10 +13,8 @@ namespace {
 
 namespace io = models::io;
 
-// File layout mirrors the checkpoint formats (DUOW1 params, DUOIX1 index):
-// magic, FNV-1a fingerprint over the payload, payload size, payload. The
-// fingerprint makes torn or bit-flipped files fail loudly instead of
-// restoring a subtly wrong ledger.
+// A sealed state file (models::io::save_sealed): the digest makes torn or
+// bit-flipped files fail loudly instead of restoring a subtly wrong ledger.
 constexpr char kSnapshotMagic[8] = {'D', 'U', 'O', 'S', 'N', '1', '\0', '\0'};
 
 void write_bool(std::ostream& out, bool b) {
@@ -165,7 +161,6 @@ bool read_payload(std::istream& in, ServerSnapshot& snap) {
     std::int64_t bucket_count = 0;
     if (!io::read_i64(in, bucket_count)) return false;
     if (bucket_count < 0 || bucket_count > (1 << 24)) return false;
-    snap.limiter.buckets.reserve(static_cast<std::size_t>(bucket_count));
     std::string prev_bucket;
     for (std::int64_t i = 0; i < bucket_count; ++i) {
       std::pair<std::string, TokenBucketState> entry;
@@ -187,40 +182,20 @@ bool read_payload(std::istream& in, ServerSnapshot& snap) {
 }  // namespace
 
 bool save_snapshot(const ServerSnapshot& snap, const std::string& path) {
-  std::ostringstream payload_stream;
-  write_payload(payload_stream, snap);
-  if (!payload_stream) return false;
-  const std::string payload = payload_stream.str();
-  return io::atomic_write(path, [&](std::ostream& out) {
-    out.write(kSnapshotMagic, sizeof(kSnapshotMagic));
-    io::write_u64(out, io::fnv1a(payload.data(), payload.size()));
-    io::write_i64(out, static_cast<std::int64_t>(payload.size()));
-    out.write(payload.data(),
-              static_cast<std::streamsize>(payload.size()));
+  return io::save_sealed(path, kSnapshotMagic, [&](std::ostream& out) {
+    write_payload(out, snap);
   });
 }
 
 bool load_snapshot(ServerSnapshot& snap, const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  char magic[sizeof(kSnapshotMagic)] = {};
-  if (!in.read(magic, sizeof(magic))) return false;
-  for (std::size_t i = 0; i < sizeof(magic); ++i) {
-    if (magic[i] != kSnapshotMagic[i]) return false;
-  }
-  std::uint64_t fingerprint = 0;
-  std::int64_t size = 0;
-  if (!io::read_u64(in, fingerprint)) return false;
-  if (!io::read_i64(in, size)) return false;
-  if (size < 0 || size > (std::int64_t{1} << 31)) return false;
-  std::string payload(static_cast<std::size_t>(size), '\0');
-  if (!in.read(payload.data(), size)) return false;
-  if (io::fnv1a(payload.data(), payload.size()) != fingerprint) return false;
   // Stage into a scratch snapshot so a file that fails validation halfway
   // leaves the caller's snapshot untouched.
   ServerSnapshot staged;
-  std::istringstream payload_in(payload);
-  if (!read_payload(payload_in, staged)) return false;
+  if (!io::load_sealed(path, kSnapshotMagic, [&](std::istream& in) {
+        return read_payload(in, staged);
+      })) {
+    return false;
+  }
   snap = std::move(staged);
   return true;
 }

@@ -28,6 +28,7 @@
 #include "models/serialization.hpp"
 #include "retrieval/index.hpp"
 #include "retrieval/ivf_index.hpp"
+#include "sealed_file.hpp"
 #include "serve/admission.hpp"
 #include "serve/async_handle.hpp"
 #include "serve/errors.hpp"
@@ -37,6 +38,8 @@
 namespace duo {
 namespace {
 
+using duo::testing::peak_vm_kb;
+using duo::testing::read_file;
 using duo::testing::TinyWorld;
 
 attack::Perturbation noisy_support(const video::Video& v, std::uint64_t seed) {
@@ -325,40 +328,20 @@ serve::ServerSnapshot sample_snapshot() {
   return snap;
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-}
-
-// DUOSN1 envelope: 8-byte magic, FNV-1a of the payload, payload size.
-constexpr std::size_t kEnvelopeBytes = 24;
-
 // The payload save_snapshot writes for `snap`, without its envelope.
 std::string snapshot_payload(const serve::ServerSnapshot& snap,
                              const std::string& path) {
   EXPECT_TRUE(serve::save_snapshot(snap, path));
-  return read_file(path).substr(kEnvelopeBytes);
+  return testing::sealed_payload(path);
 }
 
-// Wraps `payload` in a valid envelope (size and fingerprint recomputed), so
-// load_snapshot's parser runs on it rather than stopping at the digest.
-void write_enveloped(const std::string& payload, const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write("DUOSN1\0\0", 8);
-  const std::uint64_t fingerprint =
-      models::io::fnv1a(payload.data(), payload.size());
-  const auto size = static_cast<std::int64_t>(payload.size());
-  out.write(reinterpret_cast<const char*>(&fingerprint), 8);
-  out.write(reinterpret_cast<const char*>(&size), 8);
-  out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-}
-
-// Where a DUOSN1 payload keeps its length prefixes and client entries,
-// found by walking the format independently of the loader.
+// Where a DUOSN1 payload keeps its length prefixes, client entries and
+// limiter-bucket count, found by walking the format independently of the
+// loader.
 struct PayloadLayout {
   std::vector<std::size_t> length_prefixes;  // offsets of i64 lengths
   std::vector<std::pair<std::size_t, std::size_t>> clients;  // [begin, end)
+  std::size_t bucket_count = 0;                               // offset
 };
 
 PayloadLayout walk_payload(const std::string& p) {
@@ -393,6 +376,7 @@ PayloadLayout walk_payload(const std::string& p) {
     out.clients.emplace_back(begin, at);
   }
   skip_words(3);  // has_limiter, rate, burst
+  out.bucket_count = at;
   const std::size_t buckets = length();
   for (std::size_t i = 0; i < buckets; ++i) {
     str();
@@ -465,7 +449,7 @@ TEST(CrashRecovery, ServerSnapshotFileRoundTripsAndRejectsCorruption) {
                                             head + entry_b + entry_a + tail},
         std::pair<std::string, std::string>{"duplicate id",
                                             head + entry_a + entry_a + tail}}) {
-    write_enveloped(crafted, path);
+    testing::write_sealed(path, testing::kSnapshotMagic, crafted);
     serve::ServerSnapshot target = sample_snapshot();
     target.epoch = 42;  // sentinel
     const serve::ServerSnapshot expected = target;
@@ -473,7 +457,8 @@ TEST(CrashRecovery, ServerSnapshotFileRoundTripsAndRejectsCorruption) {
     EXPECT_TRUE(target == expected) << label;
   }
   // The same crafting with the entries in order loads back the sample.
-  write_enveloped(head + entry_a + entry_b + tail, path);
+  testing::write_sealed(path, testing::kSnapshotMagic,
+                        head + entry_a + entry_b + tail);
   ASSERT_TRUE(serve::load_snapshot(loaded, path));
   EXPECT_TRUE(loaded == snap);
   std::remove(path.c_str());
@@ -591,13 +576,45 @@ TEST(CrashRecovery, ServerSnapshotRejectsNonFiniteDoubles) {
   std::remove(path.c_str());
 }
 
+// A limiter-bucket count is bounded by 2^24 but not by the payload. The
+// loader appends buckets as it parses them, so a count the payload cannot
+// hold fails at the first missing bucket without first reserving room for
+// all of them (2^24 entries would reserve over a gigabyte).
+TEST(CrashRecovery, SnapshotBucketCountBoundedByPayload) {
+  const std::string path = ::testing::TempDir() + "duo_crash_buckets.snap";
+  std::string payload = snapshot_payload(sample_snapshot(), path);
+  const std::size_t at = walk_payload(payload).bucket_count;
+  std::int64_t count = 0;
+  std::memcpy(&count, payload.data() + at, sizeof(count));
+  ASSERT_EQ(count, 2) << "the bucket count is not where the test expects it";
+  count = std::int64_t{1} << 24;
+  std::memcpy(payload.data() + at, &count, sizeof(count));
+  testing::write_sealed(path, testing::kSnapshotMagic, payload);
+
+  serve::ServerSnapshot target = sample_snapshot();
+  target.epoch = 42;  // sentinel
+  const serve::ServerSnapshot expected = target;
+  const long peak_before = peak_vm_kb();
+  bool ok = true;
+  EXPECT_NO_THROW(ok = serve::load_snapshot(target, path));
+  EXPECT_FALSE(ok);
+  EXPECT_TRUE(target == expected);
+  if (peak_before >= 0) {
+    EXPECT_LT(peak_vm_kb() - peak_before, testing::kVmGrowthBoundKb)
+        << "the loader reserved for the claimed bucket count";
+  }
+  std::remove(path.c_str());
+}
+
 // Hostile-input contract of load_snapshot, by seeded mutation inside the
 // envelope: every mutant gets a valid size and fingerprint, so the parser
 // itself meets bit flips, extreme bytes, truncations, splices of two valid
 // payloads and edits to every length prefix. The loader either rejects the
 // mutant and leaves its target untouched, or returns a snapshot that holds
 // only finite doubles, saves to the bytes it was parsed from and loads back
-// equal. ASan/UBSan runs cover the parse.
+// equal. No mutant may raise VmPeak by more than the hostile-length bound,
+// though its length edits reach 2^24 client and bucket entries. ASan/UBSan
+// runs cover the parse.
 TEST(CrashRecovery, SnapshotLoaderSurvivesSeededMutation) {
   const std::string path = ::testing::TempDir() + "duo_crash_fuzz.snap";
   const std::string resaved = ::testing::TempDir() + "duo_crash_fuzz2.snap";
@@ -613,57 +630,21 @@ TEST(CrashRecovery, SnapshotLoaderSurvivesSeededMutation) {
                                     // client and bucket counts
 
   constexpr int kMutants = 12000;
-  constexpr unsigned char kExtremes[] = {0x00, 0x7F, 0x80, 0xFF};
-  const std::int64_t kLengths[] = {-1,
-                                   0,
-                                   1,
-                                   7,
-                                   1 << 20,
-                                   (1 << 20) + 1,
-                                   1 << 24,
-                                   (std::int64_t{1} << 24) + 1,
-                                   std::int64_t{1} << 31,
-                                   std::numeric_limits<std::int64_t>::max(),
-                                   std::numeric_limits<std::int64_t>::min()};
   Rng rng(0xF022);
+  const long peak_before = peak_vm_kb();
   int loaded = 0;
   for (int i = 0; i < kMutants; ++i) {
-    std::string m = base;
-    const auto pick = [&](std::size_t n) {
-      return static_cast<std::size_t>(rng.uniform_index(n));
-    };
-    switch (i % 5) {
-      case 0:  // bit flip
-        m[pick(m.size())] ^= static_cast<char>(1u << pick(8));
-        break;
-      case 1:  // extreme byte
-        m[pick(m.size())] = static_cast<char>(kExtremes[pick(4)]);
-        break;
-      case 2:  // truncation
-        m.resize(pick(m.size()));
-        break;
-      case 3:  // splice: a prefix of one valid payload, a suffix of another
-        m = base.substr(0, pick(base.size() + 1)) +
-            donor.substr(pick(donor.size() + 1));
-        break;
-      default: {  // length prefix: each gets every extreme, then ±32
-        const auto k = static_cast<std::size_t>(i / 5);
-        const std::size_t at = prefixes[k % prefixes.size()];
-        const std::size_t round = k / prefixes.size();
-        std::int64_t value = 0;
-        std::memcpy(&value, m.data() + at, sizeof(value));
-        value = round < std::size(kLengths)
-                    ? kLengths[round]
-                    : value + static_cast<std::int64_t>(pick(65)) - 32;
-        std::memcpy(m.data() + at, &value, sizeof(value));
-        break;
-      }
-    }
-    write_enveloped(m, path);
+    const std::string m = testing::seeded_mutant(i, base, donor, prefixes, rng);
+    testing::write_sealed(path, testing::kSnapshotMagic, m);
     serve::ServerSnapshot target = sample_snapshot();
     target.epoch = 42;  // sentinel
     const serve::ServerSnapshot expected = target;
-    if (!serve::load_snapshot(target, path)) {
+    const bool ok = serve::load_snapshot(target, path);
+    if (peak_before >= 0) {
+      ASSERT_LT(peak_vm_kb() - peak_before, testing::kVmGrowthBoundKb)
+          << "mutant " << i << " allocated for a hostile length";
+    }
+    if (!ok) {
       ASSERT_TRUE(target == expected) << "mutant " << i << " touched target";
       continue;
     }
@@ -673,7 +654,7 @@ TEST(CrashRecovery, SnapshotLoaderSurvivesSeededMutation) {
     // from (a mutant may carry trailing bytes the parser never reads), and
     // those bytes load back equal.
     ASSERT_TRUE(serve::save_snapshot(target, resaved)) << "mutant " << i;
-    const std::string saved = read_file(resaved).substr(kEnvelopeBytes);
+    const std::string saved = testing::sealed_payload(resaved);
     ASSERT_EQ(m.substr(0, saved.size()), saved) << "mutant " << i;
     serve::ServerSnapshot again;
     ASSERT_TRUE(serve::load_snapshot(again, resaved)) << "mutant " << i;

@@ -136,15 +136,6 @@ TEST(CheckGradLayers, Activations) {
   // ReLU is non-differentiable at 0; uniform(-1,1) draws are a.s. away from
   // it at eps = 1e-3 for this seed.
   expect_checkgrad_ok(relu, {16});
-  Tanh tanh_layer;
-  expect_checkgrad_ok(tanh_layer, {16});
-  Sigmoid sigmoid;
-  expect_checkgrad_ok(sigmoid, {16});
-}
-
-TEST(CheckGradLayers, Flatten) {
-  Flatten flatten;
-  expect_checkgrad_ok(flatten, {2, 3, 4});
 }
 
 TEST(CheckGradLayers, Conv3dBothKernels) {

@@ -103,26 +103,6 @@ TEST(ReLU, GradientMasksNegativeInputs) {
   EXPECT_FLOAT_EQ(g[3], 1.0f);
 }
 
-TEST(Tanh, InputGradientMatchesNumerical) {
-  Tanh layer;
-  check_input_gradient(layer, {8});
-}
-
-TEST(Sigmoid, InputGradientMatchesNumerical) {
-  Sigmoid layer;
-  check_input_gradient(layer, {8});
-}
-
-TEST(Flatten, RoundTripsShape) {
-  Flatten layer;
-  Rng rng(4);
-  const Tensor x = Tensor::uniform({2, 3, 4}, -1.0f, 1.0f, rng);
-  const Tensor out = layer.forward(x);
-  EXPECT_EQ(out.shape(), (Tensor::Shape{24}));
-  const Tensor g = layer.backward(Tensor::ones({24}));
-  EXPECT_EQ(g.shape(), x.shape());
-}
-
 TEST(Conv3d, InputGradientMatchesNumerical) {
   Rng rng(5);
   Conv3dSpec spec;

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -11,10 +13,16 @@
 #include "attack/checkpoint.hpp"
 #include "models/feature_extractor.hpp"
 #include "models/serialization.hpp"
+#include "retrieval/index.hpp"
+#include "sealed_file.hpp"
+#include "serve/server.hpp"
 #include "video/synthetic.hpp"
 
 namespace duo::models {
 namespace {
+
+using duo::testing::kVmGrowthBoundKb;
+using duo::testing::peak_vm_kb;
 
 video::VideoGeometry geo() { return {8, 12, 12, 3}; }
 
@@ -193,24 +201,18 @@ TEST(SerializationIo, CorruptTensorHeadersRejectedBeforeAllocation) {
   }
 }
 
-// Address-space high-water mark of this process in kB, or -1 where
-// /proc/self/status is missing. A reader that allocates for a corrupt length
-// prefix raises it even if it frees the buffer before returning false.
-long peak_vm_kb() {
-  std::ifstream status("/proc/self/status");
-  std::string line;
-  while (std::getline(status, line)) {
-    if (line.rfind("VmPeak:", 0) == 0) return std::stol(line.substr(7));
-  }
-  return -1;
-}
-
+// Bitwise equality, so a value holding a NaN still equals itself. An empty
+// buffer may be null, which memcmp forbids.
 template <typename T>
 bool same(const std::vector<T>& a, const std::vector<T>& b) {
-  return a == b;
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
 }
 bool same(const Tensor& a, const Tensor& b) {
-  return a.shape() == b.shape() && a.allclose(b, 0.0f);
+  return a.shape() == b.shape() &&
+         (a.size() == 0 ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
 }
 
 // Runs `read` on a stream whose prefix claims `claim` elements but that holds
@@ -226,7 +228,7 @@ void expect_rejected_without_allocating(Read read, Out out,
   EXPECT_FALSE(ok);
   EXPECT_TRUE(same(out, before)) << "a failed read changed its output";
   if (peak_before >= 0) {
-    EXPECT_LT(peak_vm_kb() - peak_before, 64 * 1024)
+    EXPECT_LT(peak_vm_kb() - peak_before, kVmGrowthBoundKb)
         << "the reader allocated for the claimed length";
   }
 }
@@ -379,9 +381,79 @@ TEST(SerializationIo, AtomicWriteShortWriteNeverReplacesGoodCheckpoint) {
   std::remove(path.c_str());
 }
 
-attack::SparseQueryCheckpoint sample_sq_checkpoint() {
+// A sealed file's size field is checked against the bytes left in the file
+// before anything is allocated. Each file below is a bare 24-byte envelope
+// (valid magic, empty payload's digest) whose size field is hostile. Every
+// loader must return false without throwing, leave its target untouched,
+// and allocate nothing near the claimed size.
+TEST(SerializationIo, SealedEnvelopeLengthBoundedByFile) {
+  const std::string path = ::testing::TempDir() + "duo_test_envelope.bin";
+  constexpr char kMagic[8] = "DUOTST\0";
+  const std::uint64_t empty_digest = io::fnv1a(nullptr, 0);
+  bool parsed = false;
+  const auto read = [&](std::istream&) {
+    parsed = true;
+    return true;
+  };
+  // Control: the same envelope with its true size (0) reaches the reader.
+  testing::write_envelope(path, kMagic, empty_digest, 0, "");
+  ASSERT_TRUE(io::load_sealed(path, kMagic, read));
+  ASSERT_TRUE(parsed);
+
+  constexpr std::int64_t kDim = 4;
+  retrieval::RetrievalIndex index(kDim, 2);
+  for (std::int64_t i = 0; i < 6; ++i) {
+    index.add({i, static_cast<int>(i % 2), Tensor({kDim}, 0.5f * i)});
+  }
+  const Tensor probe({kDim}, 1.0f);
+  const auto answers = index.query(probe, 6);
+  serve::ServerSnapshot snap;
+  snap.epoch = 42;  // sentinel
+  const serve::ServerSnapshot expected = snap;
+
+  const std::pair<const char*, std::int64_t> claims[] = {
+      {"2^31 - 1", std::numeric_limits<std::int32_t>::max()},
+      {"INT64_MAX", std::numeric_limits<std::int64_t>::max()},
+      {"-1", -1},
+      {"file size + 1", testing::kEnvelopeBytes + 1}};
+  for (const auto& [label, claim] : claims) {
+    SCOPED_TRACE(std::string("claimed payload ") + label);
+    const long peak_before = peak_vm_kb();
+    bool ok = true;
+    parsed = false;
+    testing::write_envelope(path, kMagic, empty_digest, claim, "");
+    EXPECT_NO_THROW(ok = io::load_sealed(path, kMagic, read));
+    EXPECT_FALSE(ok);
+    EXPECT_FALSE(parsed);
+
+    testing::write_envelope(path, testing::kIndexMagic, empty_digest, claim,
+                            "");
+    EXPECT_NO_THROW(ok = retrieval::load_index(index, path));
+    EXPECT_FALSE(ok);
+    EXPECT_EQ(index.size(), 6u);
+    const auto after = index.query(probe, 6);
+    ASSERT_EQ(after.size(), answers.size());
+    for (std::size_t i = 0; i < after.size(); ++i) {
+      EXPECT_EQ(after[i].id, answers[i].id);
+    }
+
+    testing::write_envelope(path, testing::kSnapshotMagic, empty_digest,
+                            claim, "");
+    EXPECT_NO_THROW(ok = serve::load_snapshot(snap, path));
+    EXPECT_FALSE(ok);
+    EXPECT_TRUE(snap == expected);
+    if (peak_before >= 0) {
+      EXPECT_LT(peak_vm_kb() - peak_before, kVmGrowthBoundKb)
+          << "a loader allocated for the claimed size";
+    }
+  }
+  std::remove(path.c_str());
+}
+
+attack::SparseQueryCheckpoint sample_sq_checkpoint(
+    video::VideoGeometry g = geo()) {
   attack::SparseQueryCheckpoint ck;
-  ck.geometry = geo();
+  ck.geometry = g;
   ck.seed = 99;
   ck.support_size = 150;
   ck.source_hash = 0xDEADBEEFCAFEF00DULL;
@@ -393,7 +465,7 @@ attack::SparseQueryCheckpoint sample_sq_checkpoint() {
   ck.rng_state = 0x1234567890ABCDEFULL;
   ck.deck = {3, 1, 4, 1, 5};
   ck.deck_pos = 2;
-  ck.v_adv = Tensor(geo().tensor_shape());
+  ck.v_adv = Tensor(g.tensor_shape());
   for (std::int64_t i = 0; i < ck.v_adv.size(); ++i) {
     ck.v_adv[i] = static_cast<float>(i % 256);
   }
@@ -426,22 +498,29 @@ TEST(SerializationIo, SparseQueryCheckpointRoundTrips) {
   std::remove(path.c_str());
 }
 
-TEST(SerializationIo, DuoCheckpointRoundTrips) {
+attack::DuoCheckpoint sample_duo_checkpoint(video::VideoGeometry g = geo()) {
   attack::DuoCheckpoint ck;
-  ck.geometry = geo();
+  ck.geometry = g;
   ck.source_hash = 77;
   ck.iter_numH = 2;
   ck.next_round = 1;
   ck.t_history = {0.5, 0.25};
   ck.queries = 31;
-  ck.v_cur = Tensor(geo().tensor_shape());
+  ck.has_ctx = true;
+  ck.list_v = {4, 8, 15};
+  ck.list_vt = {16, 23, 42};
+  ck.v_cur = Tensor(g.tensor_shape());
   ck.v_cur.fill(17.0f);
   ck.has_init = true;
-  ck.pixel_mask = Tensor(geo().tensor_shape());
+  ck.pixel_mask = Tensor(g.tensor_shape());
   ck.pixel_mask.fill(1.0f);
-  ck.frame_mask = Tensor(geo().tensor_shape());
+  ck.frame_mask = Tensor(g.tensor_shape());
   ck.frame_mask.fill(0.0f);
+  return ck;
+}
 
+TEST(SerializationIo, DuoCheckpointRoundTrips) {
+  const attack::DuoCheckpoint ck = sample_duo_checkpoint();
   const std::string path = "/tmp/duo_test_duo_ck.bin";
   ASSERT_TRUE(attack::save_checkpoint(ck, path));
   attack::DuoCheckpoint back;
@@ -452,6 +531,9 @@ TEST(SerializationIo, DuoCheckpointRoundTrips) {
   EXPECT_EQ(back.next_round, ck.next_round);
   EXPECT_EQ(back.t_history, ck.t_history);
   EXPECT_EQ(back.queries, ck.queries);
+  EXPECT_TRUE(back.has_ctx);
+  EXPECT_EQ(back.list_v, ck.list_v);
+  EXPECT_EQ(back.list_vt, ck.list_vt);
   EXPECT_TRUE(back.has_init);
   ASSERT_EQ(back.v_cur.size(), ck.v_cur.size());
   for (std::int64_t i = 0; i < ck.v_cur.size(); ++i) {
@@ -464,29 +546,37 @@ TEST(SerializationIo, DuoCheckpointRoundTrips) {
 
 // A checkpoint whose t_history length prefix claims 2^31 − 1 doubles must
 // load as false, so resume = true falls back to a fresh start instead of
-// dying on the allocation.
+// dying on the allocation. The edited payload is re-sealed, so the parser's
+// bound rejects it, not the digest.
 TEST(SerializationIo, CheckpointLengthPrefixBoundedByFile) {
   const std::string path = ::testing::TempDir() + "duo_test_prefix_ck.bin";
   ASSERT_TRUE(attack::save_checkpoint(sample_sq_checkpoint(), path));
-  // The prefix follows the magic, the geometry (4 × i64), and the seed,
-  // support size, source hash, next iteration and T (8 bytes each).
-  constexpr std::streamoff kHistoryPrefix = 8 + 4 * 8 + 5 * 8;
-  {
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekg(kHistoryPrefix);
-    std::int64_t length = 0;
-    ASSERT_TRUE(io::read_i64(f, length));
-    ASSERT_EQ(length, 3) << "the prefix is not where the test expects it";
-    f.seekp(kHistoryPrefix);
-    io::write_i64(f, std::numeric_limits<std::int32_t>::max());
-    ASSERT_TRUE(f.good());
-  }
+  std::string payload = testing::sealed_payload(path);
+  // Control: the unedited payload, re-sealed, loads.
+  testing::write_sealed(path, testing::kSparseQueryMagic, payload);
+  attack::SparseQueryCheckpoint control;
+  ASSERT_TRUE(attack::load_checkpoint(control, path));
+
+  // The prefix follows the geometry (4 × i64), and the seed, support size,
+  // source hash, next iteration and T (8 bytes each).
+  constexpr std::size_t kHistoryPrefix = 4 * 8 + 5 * 8;
+  std::int64_t length = 0;
+  std::memcpy(&length, payload.data() + kHistoryPrefix, sizeof(length));
+  ASSERT_EQ(length, 3) << "the prefix is not where the test expects it";
+  length = std::numeric_limits<std::int32_t>::max();
+  std::memcpy(payload.data() + kHistoryPrefix, &length, sizeof(length));
+  testing::write_sealed(path, testing::kSparseQueryMagic, payload);
+
   attack::SparseQueryCheckpoint ck;
   ck.queries = -55;  // sentinel
+  const long peak_before = peak_vm_kb();
   bool ok = true;
   EXPECT_NO_THROW(ok = attack::load_checkpoint(ck, path));
   EXPECT_FALSE(ok);
   EXPECT_EQ(ck.queries, -55);
+  if (peak_before >= 0) {
+    EXPECT_LT(peak_vm_kb() - peak_before, kVmGrowthBoundKb);
+  }
   std::remove(path.c_str());
 }
 
@@ -536,6 +626,193 @@ TEST(SerializationIo, CheckpointLoadRejectsCorruption) {
   EXPECT_FALSE(attack::load_checkpoint(untouched, path));
   EXPECT_EQ(untouched.queries, -55);
   std::remove(path.c_str());
+}
+
+// A checkpoint in an intact envelope can still disagree with itself. A
+// resume indexes the video with every deck entry and hands the masks to
+// SparseTransfer at the video's shape, so the loader rejects a deck entry
+// outside the video, a mask of another shape, and a geometry whose element
+// count would overflow (the shapes are compared dimension by dimension).
+TEST(SerializationIo, CheckpointLoadRejectsInconsistentPayload) {
+  const std::string path = ::testing::TempDir() + "duo_test_inconsistent.ck";
+  std::vector<std::pair<std::string, attack::SparseQueryCheckpoint>> sq;
+  for (const std::int64_t entry : {std::int64_t{-1}, geo().total_elements()}) {
+    attack::SparseQueryCheckpoint ck = sample_sq_checkpoint();
+    ck.deck[4] = entry;
+    sq.emplace_back("deck entry " + std::to_string(entry), ck);
+  }
+  attack::SparseQueryCheckpoint huge = sample_sq_checkpoint();
+  huge.geometry.frames = std::int64_t{1} << 62;
+  sq.emplace_back("geometry past 2^63 elements", huge);
+  for (const auto& [label, bad] : sq) {
+    ASSERT_TRUE(attack::save_checkpoint(bad, path)) << label;
+    attack::SparseQueryCheckpoint target;
+    target.queries = -55;  // sentinel
+    EXPECT_FALSE(attack::load_checkpoint(target, path)) << label;
+    EXPECT_EQ(target.queries, -55) << label;
+  }
+
+  const video::VideoGeometry narrow = {geo().frames, geo().width - 1,
+                                       geo().height, geo().channels};
+  attack::DuoCheckpoint pixel = sample_duo_checkpoint();
+  pixel.pixel_mask = Tensor(narrow.tensor_shape());
+  attack::DuoCheckpoint frame = sample_duo_checkpoint();
+  frame.frame_mask = Tensor(narrow.tensor_shape());
+  for (const auto& [label, bad] :
+       {std::pair<std::string, attack::DuoCheckpoint>{"pixel mask", pixel},
+        std::pair<std::string, attack::DuoCheckpoint>{"frame mask", frame}}) {
+    ASSERT_TRUE(attack::save_checkpoint(bad, path)) << label;
+    attack::DuoCheckpoint target;
+    target.queries = -55;  // sentinel
+    EXPECT_FALSE(attack::load_checkpoint(target, path)) << label;
+    EXPECT_EQ(target.queries, -55) << label;
+  }
+  std::remove(path.c_str());
+}
+
+// Offsets of the length fields in a checkpoint payload (vector lengths,
+// tensor ranks and dims), found by walking the format independently of the
+// loader. `spelling` lists the payload's fields in order: 'w' an 8-byte
+// word, 'v' a length-prefixed vector of 8-byte elements, 't' a tensor
+// (rank, dims, floats).
+std::vector<std::size_t> length_fields(const std::string& p,
+                                       const std::string& spelling) {
+  std::vector<std::size_t> out;
+  std::size_t at = 0;
+  const auto length = [&] {
+    std::int64_t n = 0;
+    std::memcpy(&n, p.data() + at, sizeof(n));
+    out.push_back(at);
+    at += 8;
+    return static_cast<std::size_t>(n);
+  };
+  for (const char field : spelling) {
+    if (field == 'w') {
+      at += 8;
+    } else if (field == 'v') {
+      at += 8 * length();
+    } else {
+      std::size_t elements = 1;
+      for (std::size_t rank = length(); rank > 0; --rank) elements *= length();
+      at += 4 * elements;
+    }
+  }
+  EXPECT_EQ(at, p.size());
+  return out;
+}
+
+// Field-by-field equality with floats compared by bits, so a mutant that
+// loads a NaN still compares equal to itself.
+bool same(const attack::SparseQueryCheckpoint& a,
+          const attack::SparseQueryCheckpoint& b) {
+  return a.geometry == b.geometry && a.seed == b.seed &&
+         a.support_size == b.support_size && a.source_hash == b.source_hash &&
+         a.next_iteration == b.next_iteration &&
+         std::bit_cast<std::uint64_t>(a.t_current) ==
+             std::bit_cast<std::uint64_t>(b.t_current) &&
+         same(a.t_history, b.t_history) && a.queries == b.queries &&
+         a.stall == b.stall && a.rng_state == b.rng_state &&
+         a.deck == b.deck && a.deck_pos == b.deck_pos &&
+         same(a.v_adv, b.v_adv);
+}
+bool same(const attack::DuoCheckpoint& a, const attack::DuoCheckpoint& b) {
+  return a.geometry == b.geometry && a.source_hash == b.source_hash &&
+         a.iter_numH == b.iter_numH && a.next_round == b.next_round &&
+         same(a.t_history, b.t_history) && a.queries == b.queries &&
+         a.has_ctx == b.has_ctx && a.list_v == b.list_v &&
+         a.list_vt == b.list_vt && same(a.v_cur, b.v_cur) &&
+         a.has_init == b.has_init && same(a.pixel_mask, b.pixel_mask) &&
+         same(a.frame_mask, b.frame_mask);
+}
+
+// Hostile-input contract of a checkpoint loader, by the snapshot test's
+// seeded mutations inside a re-sealed envelope (bit flips, extreme bytes,
+// truncations, splices with `donor`'s payload, and edits to every length
+// field). Each mutant is rejected and leaves its target untouched, or loads
+// a checkpoint that saves back to the bytes it was parsed from and loads
+// back equal. No mutant may raise VmPeak past the hostile-length bound.
+template <typename Checkpoint>
+void expect_survives_seeded_mutation(const Checkpoint& sample,
+                                     const Checkpoint& donor_ck,
+                                     const char (&magic)[8],
+                                     const std::string& spelling,
+                                     std::size_t length_count,
+                                     const std::string& name) {
+  const std::string path = ::testing::TempDir() + name + "_fuzz.ck";
+  const std::string resaved = ::testing::TempDir() + name + "_fuzz2.ck";
+  ASSERT_TRUE(attack::save_checkpoint(donor_ck, path));
+  const std::string donor = testing::sealed_payload(path);
+  ASSERT_TRUE(attack::save_checkpoint(sample, path));
+  const std::string base = testing::sealed_payload(path);
+  const std::vector<std::size_t> lengths = length_fields(base, spelling);
+  ASSERT_EQ(lengths.size(), length_count);
+
+  constexpr int kMutants = 12000;
+  Rng rng(0xC4EC);
+  const long peak_before = peak_vm_kb();
+  int loaded = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    const std::string m = testing::seeded_mutant(i, base, donor, lengths, rng);
+    testing::write_sealed(path, magic, m);
+    Checkpoint target = sample;
+    target.queries = -55;  // sentinel
+    const Checkpoint expected = target;
+    const bool ok = attack::load_checkpoint(target, path);
+    if (peak_before >= 0) {
+      ASSERT_LT(peak_vm_kb() - peak_before, kVmGrowthBoundKb)
+          << "mutant " << i << " allocated for a hostile length";
+    }
+    if (!ok) {
+      ASSERT_TRUE(same(target, expected))
+          << "mutant " << i << " touched target";
+      continue;
+    }
+    ++loaded;
+    ASSERT_TRUE(attack::save_checkpoint(target, resaved)) << "mutant " << i;
+    const std::string saved = testing::sealed_payload(resaved);
+    ASSERT_EQ(m.substr(0, saved.size()), saved) << "mutant " << i;
+    Checkpoint again;
+    ASSERT_TRUE(attack::load_checkpoint(again, resaved)) << "mutant " << i;
+    ASSERT_TRUE(same(again, target)) << "mutant " << i;
+  }
+  std::printf("%s mutants: %d of %d loaded\n", name.c_str(), loaded,
+              kMutants);
+  EXPECT_GT(loaded, 0);
+  EXPECT_LT(loaded, kMutants);
+  std::remove(path.c_str());
+  std::remove(resaved.c_str());
+}
+
+// A small video keeps the header fields a sizeable share of the payload.
+video::VideoGeometry fuzz_geo() { return {2, 3, 3, 3}; }
+
+TEST(SerializationIo, SparseQueryCheckpointSurvivesSeededMutation) {
+  attack::SparseQueryCheckpoint donor = sample_sq_checkpoint(fuzz_geo());
+  donor.t_history = {0.5};
+  donor.deck = {9, 2, 6, 5, 3, 5, 8};
+  donor.deck_pos = 6;
+  // Geometry and five words, t_history, three words, deck, the deck cursor
+  // and the video: length fields are the two vector lengths, the video's
+  // rank and its four dims.
+  expect_survives_seeded_mutation(sample_sq_checkpoint(fuzz_geo()), donor,
+                                  testing::kSparseQueryMagic,
+                                  "wwwwwwwwwvwwwvwt", 7, "duo_test_sq");
+}
+
+TEST(SerializationIo, DuoCheckpointSurvivesSeededMutation) {
+  attack::DuoCheckpoint donor = sample_duo_checkpoint(fuzz_geo());
+  donor.has_ctx = false;
+  donor.list_v.clear();
+  donor.list_vt.clear();
+  donor.has_init = false;
+  donor.pixel_mask = Tensor();
+  donor.frame_mask = Tensor();
+  // Geometry and three words, t_history, queries and has_ctx, both lists,
+  // the round input, has_init and both masks: length fields are the three
+  // vector lengths and each tensor's rank and four dims.
+  expect_survives_seeded_mutation(sample_duo_checkpoint(fuzz_geo()), donor,
+                                  testing::kDuoMagic, "wwwwwwwvwwvvtwtt", 18,
+                                  "duo_test_duo");
 }
 
 }  // namespace

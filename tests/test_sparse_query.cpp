@@ -2,14 +2,14 @@
 
 #include <cmath>
 #include <cstdio>
-#include <fstream>
+#include <cstring>
 #include <limits>
 #include <string>
 
 #include "attack/sparse_query.hpp"
 #include "baselines/vanilla.hpp"
 #include "fixtures.hpp"
-#include "models/serialization.hpp"
+#include "sealed_file.hpp"
 #include "serve/async_handle.hpp"
 #include "serve/server.hpp"
 
@@ -196,8 +196,8 @@ TEST(SparseQuery, TrajectoryIsReproducible) {
 }
 
 // SparseQueryConfig promises that a checkpoint that does not load falls back
-// to a fresh start. A t_history length prefix of 2^31 − 1 must fail the load
-// instead of reaching an allocation.
+// to a fresh start. A t_history length prefix of 2^31 − 1, re-sealed so the
+// parser meets it, must fail the load instead of reaching an allocation.
 TEST(SparseQuery, CorruptCheckpointFallsBackToFreshStart) {
   auto& w = TinyWorld::mutable_instance();
   const auto& v = w.dataset.train[10];
@@ -216,12 +216,12 @@ TEST(SparseQuery, CorruptCheckpointFallsBackToFreshStart) {
   ck_cfg.checkpoint_every = 4;
   (void)sparse_query(v, p, handle, ctx, ck_cfg);  // leaves the κ = 8 save
   {
-    // The prefix follows the magic, the geometry (4 × i64) and five 8-byte
-    // fields (seed, support size, source hash, next iteration, T).
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(8 + 4 * 8 + 5 * 8);
-    models::io::write_i64(f, std::numeric_limits<std::int32_t>::max());
-    ASSERT_TRUE(f.good());
+    // The prefix follows the geometry (4 × i64) and five 8-byte fields
+    // (seed, support size, source hash, next iteration, T).
+    std::string payload = duo::testing::sealed_payload(path);
+    const std::int64_t length = std::numeric_limits<std::int32_t>::max();
+    std::memcpy(payload.data() + 4 * 8 + 5 * 8, &length, sizeof(length));
+    duo::testing::write_sealed(path, duo::testing::kSparseQueryMagic, payload);
   }
   ck_cfg.resume = true;
   const std::int64_t before = handle.query_count();
