@@ -8,10 +8,10 @@
 //   ./build/bench/serve_throughput --smoke    # seconds-long CI smoke pass
 //   DUO_BENCH_SCALE=smoke ./build/bench/serve_throughput   # same
 //
-// On a single hardware core batching still wins by amortizing scheduler
-// wakeups and extractor-replica setup, but the latency spread under load is
-// the more interesting column there; run on multicore hardware for the
-// throughput story.
+// On a single hardware core the server runs one lane and batching still
+// wins by amortizing its wakeups, but the latency spread under load is the
+// more interesting column there; run on multicore hardware, where lanes
+// serve batches side by side, for the throughput story.
 
 #include <cstdio>
 #include <cstring>
@@ -43,7 +43,7 @@ std::string histogram_string(const serve::ServerStats& stats) {
   return first ? std::string("-") : os.str();
 }
 
-// "0%:119 10%:4" — scheduler ticks by tick-start queue occupancy decile.
+// "0%:119 10%:4" — lane ticks by tick-start queue occupancy decile.
 std::string decile_string(const std::vector<std::int64_t>& deciles) {
   std::ostringstream os;
   bool first = true;

@@ -3,9 +3,9 @@
 //
 //   1. Build a synthetic video world and train a small victim retrieval
 //      service.
-//   2. Stand up a RetrievalServer over it: bounded request queue plus a
-//      micro-batching scheduler that answers via one batched extractor
-//      forward per tick.
+//   2. Stand up a RetrievalServer over it: bounded request queue plus one
+//      serving lane per compute thread, each answering a micro-batch with
+//      one batched extractor forward per tick.
 //   3. Run a short pipelined SparseQuery attack (Vanilla-style random
 //      support) through an AsyncBlackBoxHandle — both ±ε candidates of each
 //      step are in flight at once, so victim latency is overlapped with the

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 verify from a clean checkout: configure, build, run the full test
-# suite, then re-run the bitwise-determinism suite and the kernel oracles
-# with the compute pool forced to 8 workers (DUO_THREADS oversubscribes
-# harmlessly on small machines; the determinism tests additionally pin their
-# own pools, so this exercises both the env-sized shared pool and the pinned
-# ones).
+# suite, then re-run the bitwise-determinism suite, the kernel oracles, the
+# thread pool and the serve suites with the compute pool forced to 8 workers
+# (DUO_THREADS oversubscribes harmlessly on small machines; the determinism
+# tests additionally pin their own pools, so this exercises both the
+# env-sized shared pool and the pinned ones, and every server runs 8 lanes).
 #
 # The build tree is untracked (see .gitignore), so this script also proves
 # the repo builds without any checked-in CMake state.
@@ -20,10 +20,10 @@ cmake --build "$build_dir" -j "$(nproc)"
 ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
 
 DUO_THREADS=8 ctest --test-dir "$build_dir" \
-  -R 'ParallelDeterminism|Conv3d|Oracle|Gemm|Serve|SparseQuery|FaultInjection|Resilient|Admission|Pacer|Aimd|Circuit|NeighborOrder|Ivf|Campaign|CrashRecovery' \
+  -R 'ThreadPool|ParallelDeterminism|Conv3d|Oracle|Gemm|Serve|SparseQuery|FaultInjection|Resilient|Admission|Pacer|Aimd|Circuit|NeighborOrder|Ivf|Campaign|CrashRecovery' \
   --output-on-failure
 
-# Serve-layer smoke: exercises the micro-batching scheduler end to end under
+# Serve-layer smoke: exercises the serving lanes end to end under
 # concurrent clients and prints the batch-size histogram + latency
 # percentiles (seconds-long at --smoke scale).
 DUO_THREADS=8 "$build_dir/bench/serve_throughput" --smoke

@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # Build and run the concurrency-sensitive tests under ThreadSanitizer.
 #
-# The thread pool's caller-runs parallel_for, the parallel Conv3d / pooling /
-# extraction kernels, and the serve layer's MPMC queue + micro-batching
-# scheduler are the code most likely to regress into a data race; this
-# script configures a dedicated build tree with -DDUO_SANITIZE=thread and
-# runs the thread-pool, parallel-determinism, GEMM, serve, and
-# pipelined-attack suites under TSan.
+# The thread pool's caller-runs parallel_for and inline scopes, the parallel
+# Conv3d / pooling / extraction kernels, and the serve layer's MPMC queue and
+# serving lanes (each a thread that drains, extracts, scans, fulfills and
+# bills on its own replica, all sharing the queue, the ledger, the
+# degradation ladder and the system's weights) are the code most likely to
+# regress into a data race; this script configures a dedicated build tree
+# with -DDUO_SANITIZE=thread and runs the thread-pool, parallel-determinism,
+# GEMM, serve, and pipelined-attack suites under TSan.
 #
 # Usage: scripts/tsan_check.sh [build-dir]   (default: build-tsan)
 set -euo pipefail
@@ -33,6 +35,14 @@ cmake --build "$build_dir" -j "$(nproc)" \
 export TSAN_OPTIONS="suppressions=$repo_root/scripts/tsan.supp ${TSAN_OPTIONS:-halt_on_error=1}"
 ctest --test-dir "$build_dir" \
   -R 'ThreadPool|ParallelDeterminism|Gemm|Conv3d|Pooling|Extractor|Gallery|Serve|SparseQueryPipelined|FaultInjection|Resilient|Admission|Pacer|Aimd|Circuit|CheckGrad|Ivf|RetrievalIndex|Campaign|CrashRecovery' \
+  --output-on-failure --timeout 1800
+
+# A server runs one lane per compute-pool thread, so the pass above serves
+# with as many lanes as the host has cores. Eight lanes on fewer cores
+# interleave the lanes' drains, ladder ticks, weight refreshes and crash
+# checks differently; run the serve-side suites once more that way.
+DUO_THREADS=8 ctest --test-dir "$build_dir" \
+  -R 'Serve|Admission|Circuit|CrashRecovery' \
   --output-on-failure --timeout 1800
 
 # The soak manifests drive the admission controller, rate limiter, AIMD

@@ -10,11 +10,13 @@
 # Signed overflow in a size computation, a misaligned or out-of-range cast,
 # or a bad shift there is undefined behaviour long before it is a crash.
 # Every serve and campaign suite runs through the billing ledger, whose
-# counters, histograms and reservoir draws the scheduler updates by hand.
+# counters, histograms and reservoir draws every serving lane updates by
+# hand, and the lanes size their share of the queue arithmetically.
 # This script configures a dedicated build tree with -DDUO_SANITIZE=undefined
 # and runs the serialization, SparseQuery, failure-mode, crash-recovery,
 # GEMM, Conv3d, InstanceNorm/MaxPool/flat-scan oracle, parallel-determinism,
-# serve, admission, campaign, fairness and codec suites under UBSan.
+# thread-pool, serve, admission, circuit, campaign, fairness and codec suites
+# under UBSan.
 #
 # Usage: scripts/ubsan_check.sh [build-dir]   (default: build-ubsan)
 set -euo pipefail
@@ -27,11 +29,12 @@ cmake -B "$build_dir" -S "$repo_root" -DDUO_SANITIZE=undefined \
 cmake --build "$build_dir" -j "$(nproc)" \
   --target test_serialization test_sparse_query test_failure_modes \
   test_crash_recovery test_gemm test_gradcheck test_parallel_determinism \
-  test_serve test_campaign test_nn_layers test_video test_oracles
+  test_serve test_campaign test_nn_layers test_video test_oracles \
+  test_thread_pool
 
 # UBSan recovers and keeps going by default; halt_on_error turns the first
 # report into a test failure so CI stays loud.
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 ctest --test-dir "$build_dir" \
-  -R 'Serialization|SparseQuery|FailureModes|CrashRecovery|Gemm|Conv3d|Oracle|ParallelDeterminism|Serve|Admission|Campaign|Fairness|Codec' \
+  -R 'Serialization|SparseQuery|FailureModes|CrashRecovery|Gemm|Conv3d|Oracle|ParallelDeterminism|ThreadPool|Serve|Admission|Circuit|Campaign|Fairness|Codec' \
   --output-on-failure --timeout 1800 -j "$(nproc)"

@@ -180,6 +180,10 @@ SessionResult run_sparse(const SessionSpec& spec,
   try {
     const attack::ObjectiveContext ctx =
         attack::make_objective_context(victim, v, v_t, spec.m);
+    // The reference lists are part of the attack's spend; the driver counts
+    // only what it bills itself, plus what its checkpoint carries.
+    const std::int64_t context_billed =
+        victim.queries_billed() - billed_at_start;
     attack::SparseQueryConfig qcfg;
     qcfg.iter_numQ = spec.iterations;
     qcfg.m = spec.m;
@@ -193,7 +197,7 @@ SessionResult run_sparse(const SessionSpec& spec,
     out.final_t = sq.final_t;
     out.t_history = sq.t_history;
     out.outcome_hash = io::fnv1a(sq.v_adv.data());
-    out.queries_reported = sq.queries_spent;
+    out.queries_reported = context_billed + sq.queries_spent;
   } catch (const std::exception& e) {
     // sparse_query_pipelined checkpoints before rethrowing a fatal error, so
     // nothing extra to persist here.

@@ -9,12 +9,12 @@ namespace duo {
 namespace {
 
 // The pool whose worker_loop the current thread is running, if any, and the
-// pool whose parallel_for the current thread is draining as the caller, if
-// any. Either lets parallel_for detect a re-entrant call on the same pool
-// and degrade to inline execution instead of enqueueing against a
-// saturated queue.
+// pool of the innermost InlineScope the current thread holds, if any (the
+// caller of a parallel_for holds one while it drains its own share). Either
+// lets parallel_for detect a re-entrant call on the same pool and degrade to
+// inline execution instead of enqueueing against a saturated queue.
 thread_local const ThreadPool* t_worker_pool = nullptr;
-thread_local const ThreadPool* t_caller_pool = nullptr;
+thread_local const ThreadPool* t_inline_pool = nullptr;
 
 std::atomic<ThreadPool*> g_compute_pool{nullptr};
 
@@ -91,8 +91,16 @@ void ThreadPool::worker_loop() {
   }
 }
 
-bool ThreadPool::in_worker_context() const noexcept {
-  return t_worker_pool == this;
+ThreadPool::InlineScope::InlineScope(const ThreadPool& pool) noexcept
+    : outer_(t_inline_pool) {
+  t_inline_pool = &pool;
+}
+
+ThreadPool::InlineScope::~InlineScope() { t_inline_pool = outer_; }
+
+bool ThreadPool::runs_inline() const noexcept {
+  return workers_.size() <= 1 || t_worker_pool == this ||
+         t_inline_pool == this || stopped();
 }
 
 void ThreadPool::drain(ParallelState& state, std::size_t count,
@@ -123,10 +131,9 @@ void ThreadPool::parallel_for(std::size_t count,
                               const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;
   // Inline paths: trivial loops, single-worker pools, re-entrant calls from
-  // one of our own workers or from our caller's own share, and stopped
-  // pools (static destruction).
-  if (count == 1 || workers_.size() <= 1 || in_worker_context() ||
-      t_caller_pool == this || stopped()) {
+  // one of our own workers or from inside an InlineScope (our caller's own
+  // share, a serve lane), and stopped pools (static destruction).
+  if (count == 1 || runs_inline()) {
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
@@ -142,11 +149,10 @@ void ThreadPool::parallel_for(std::size_t count,
     // caller returned observes next >= count and exits without touching it.
     enqueue([state, count, &fn] { drain(*state, count, fn); });
   }
-  // drain() catches what fn throws, so restoring the marker needs no guard.
-  const ThreadPool* const outer_caller_pool = t_caller_pool;
-  t_caller_pool = this;
-  drain(*state, count, fn);
-  t_caller_pool = outer_caller_pool;
+  {
+    const InlineScope own_share(*this);
+    drain(*state, count, fn);
+  }
 
   {
     std::unique_lock<std::mutex> lock(state->done_mutex);

@@ -12,7 +12,8 @@
 // share) degrades to inline execution instead of enqueueing against a pool
 // the outer call already keeps busy. Without both properties, nested calls
 // deadlock — the outer task blocks a worker slot while its shards starve
-// behind it.
+// behind it. A thread that supplies its own parallelism (a serve lane) opts
+// into the same inline rule with an InlineScope.
 
 #include <atomic>
 #include <condition_variable>
@@ -54,8 +55,30 @@ class ThreadPool {
   // the workers, so forward progress never depends on a free worker slot.
   void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn);
 
-  // True when the calling thread is one of this pool's workers.
-  bool in_worker_context() const noexcept;
+  // While alive, every parallel_for the constructing thread issues on `pool`
+  // runs inline on that thread, as a nested call on a worker does. The
+  // caller of a parallel_for holds one around its own share; a thread that
+  // runs beside the pool's workers as one of them (a serve lane) holds one
+  // for its lifetime. Scopes nest; destroy them on the constructing thread,
+  // in reverse order.
+  class InlineScope {
+   public:
+    explicit InlineScope(const ThreadPool& pool) noexcept;
+    ~InlineScope();
+
+    InlineScope(const InlineScope&) = delete;
+    InlineScope& operator=(const InlineScope&) = delete;
+
+   private:
+    const ThreadPool* outer_;
+  };
+
+  // True when a parallel_for issued from the calling thread would run every
+  // index inline on it: on one of this pool's workers, inside an
+  // InlineScope on it, on a one-worker pool, or on a stopped pool. Work that
+  // would only be split across that thread anyway (extract_batch's
+  // replicas) reads this to stay on one instance.
+  bool runs_inline() const noexcept;
 
   // Stop accepting queued work and join all workers. Idempotent, but must
   // not be called concurrently with itself. Called by the destructor;

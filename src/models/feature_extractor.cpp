@@ -14,8 +14,11 @@ std::vector<Tensor> FeatureExtractor::extract_batch(
 
   // One extractor per shard: shard 0 is this instance, the rest are kept
   // replicas. Extractors are stateful across forward passes, so sharing one
-  // instance across threads is not an option.
-  bool parallel = shards >= 2;
+  // instance across threads is not an option. Where the pool would run the
+  // shards one after another on this thread anyway (a pool worker, an outer
+  // call's own share, a serve lane), the serial loop below runs on this
+  // instance and no replica is made.
+  bool parallel = shards >= 2 && !pool.runs_inline();
   while (parallel && replicas_.size() < shards - 1) {
     auto c = clone();
     if (c) {

@@ -36,21 +36,23 @@ class FeatureExtractor {
   virtual Tensor extract_model_input(const Tensor& input) = 0;
 
   // Features for a batch of videos, in input order — the batched entry point
-  // used by gallery ingestion and the serve layer's micro-batching scheduler.
-  // The default implementation shards the batch over the compute pool: shard
-  // 0 runs on this instance, every other shard on a replica this instance
-  // keeps across calls. A replica is made by clone() the first time its
-  // shard is needed (more are added when the pool grows), and at the start
-  // of every parallel call each one used gets this instance's weights
-  // through copy_parameters_from, so a weight update between calls never
-  // serves stale features. Kept replicas hold a copy of the weights and the
-  // layer caches of their last forward (activations and im2col patch
-  // matrices, about 1 MB per replica for MiniI3D at 8×16×16) until this
-  // instance is destroyed. A non-cloneable extractor degrades to a serial
-  // extract() loop. Either way the result is bitwise identical to calling
-  // extract() serially on this instance, and overrides must preserve that
-  // contract — retrieval answers may not depend on how requests were
-  // batched.
+  // used by gallery ingestion and the serve layer's lanes. The default
+  // implementation shards the batch over the compute pool: shard 0 runs on
+  // this instance, every other shard on a replica this instance keeps
+  // across calls. A replica is made by clone() the first time its shard is
+  // needed (more are added when the pool grows), and at the start of every
+  // parallel call each one used gets this instance's weights through
+  // copy_parameters_from, so a weight update between calls never serves
+  // stale features. Kept replicas hold a copy of the weights and the layer
+  // caches of their last forward (activations and im2col patch matrices,
+  // about 1 MB per replica for MiniI3D at 8×16×16) until this instance is
+  // destroyed. Where the pool runs calls inline (ThreadPool::runs_inline: a
+  // pool worker, an outer call's own share, a serve lane) and for a
+  // non-cloneable extractor, it is a serial extract() loop on this instance
+  // that makes no replica. Either way the result is bitwise identical to
+  // calling extract() serially on this instance, and overrides must
+  // preserve that contract — retrieval answers may not depend on how
+  // requests were batched.
   virtual std::vector<Tensor> extract_batch(
       std::span<const video::Video> videos);
 

@@ -58,7 +58,7 @@ class IvfIndex : public GalleryIndex {
   // Movable despite the atomic degraded_ flag (atomics delete the implicit
   // moves); moving is only sensible while no other thread queries the
   // source, so a plain value transfer is enough. degraded_ deliberately does
-  // NOT transfer: it is the serve scheduler's live-load response for the
+  // NOT transfer: it is the serve ladder's live-load response for the
   // *source* object, not index content — a clone/snapshot taken while
   // degraded must answer with the configured nprobe and re-enter degraded
   // mode only via the hysteresis ladder (same contract as load_state).
@@ -94,8 +94,8 @@ class IvfIndex : public GalleryIndex {
   // the answer to centroid drift after heavy add/remove churn.
   void retrain();
 
-  // Degraded mode probes min(degraded_nprobe, nprobe) cells — the serve
-  // scheduler flips this under queue pressure. A relaxed atomic: each query
+  // Degraded mode probes min(degraded_nprobe, nprobe) cells — any serve
+  // lane may flip this under queue pressure. A relaxed atomic: each query
   // reads the flag once at its start, so any individual query is internally
   // consistent, and no ordering with other state is required.
   bool set_degraded(bool on) override {

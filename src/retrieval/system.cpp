@@ -100,8 +100,8 @@ std::vector<Neighbor> RetrievalSystem::retrieve_detailed(const video::Video& v,
 
 std::vector<Neighbor> RetrievalSystem::retrieve_feature(const Tensor& feature,
                                                         std::size_t m) const {
-  // Inside evaluate_map or the serve batch loop, which shard per query, the
-  // pool runs this nested fan-out inline.
+  // Inside evaluate_map, which shards per query, and on a serve lane, the
+  // pool runs this fan-out inline.
   return index_->query(feature, m, /*parallel=*/true);
 }
 

@@ -57,8 +57,8 @@ class RetrievalSystem {
                                           std::size_t m);
   // Retrieval for a precomputed feature (no extractor forward). The index
   // scan fans out across shards on compute_pool(); called from inside an
-  // outer fan-out (evaluate_map's per-query loop, the serve batch loop), the
-  // pool runs the nested scan inline on the calling thread.
+  // outer fan-out (evaluate_map's per-query loop) or on a serve lane, the
+  // pool runs the scan inline on the calling thread.
   std::vector<Neighbor> retrieve_feature(const Tensor& feature,
                                          std::size_t m) const;
 

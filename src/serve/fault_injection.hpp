@@ -10,7 +10,7 @@
 // request index for kill-and-resume tests.
 //
 // RetrievalServer consults a FaultInjector (ServerConfig::fault_injector)
-// when fulfilling each request, in arrival order.
+// as a lane drains each request from its queue, in arrival order.
 
 #include <cstdint>
 #include <mutex>

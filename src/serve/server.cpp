@@ -102,7 +102,31 @@ void RetrievalServer::start() {
       1, static_cast<std::size_t>(config_.admission_threshold *
                                   static_cast<double>(config_.queue_capacity)));
   ledger_ = fresh_ledger();
-  scheduler_ = std::thread([this] { scheduler_loop(); });
+  // One lane per compute-pool thread, each on its own extractor.
+  const std::size_t lanes = compute_pool().size();
+  for (std::size_t i = 1; i < lanes; ++i) {
+    auto replica = system_.extractor().clone();
+    if (replica == nullptr) {
+      replicas_.clear();
+      break;
+    }
+    replicas_.push_back(std::move(replica));
+  }
+  try {
+    launch_lanes();
+  } catch (...) {
+    // A lane that failed to start must not leave the started ones running
+    // on a server whose constructor never finished.
+    shutdown();
+    throw;
+  }
+}
+
+void RetrievalServer::launch_lanes() {
+  std::lock_guard<std::mutex> lock(join_mutex_);
+  for (std::size_t lane = 0; lane < lanes(); ++lane) {
+    lanes_.emplace_back([this, lane] { lane_loop(lane); });
+  }
 }
 
 RetrievalServer::~RetrievalServer() { shutdown(); }
@@ -262,17 +286,25 @@ void RetrievalServer::shutdown() {
   }
   not_empty_.notify_all();
   not_full_.notify_all();
-  join_scheduler();
+  join_lanes();
 }
 
-void RetrievalServer::join_scheduler() {
+void RetrievalServer::join_lanes() {
   // The join itself must happen exactly once, but every racer has to block
   // until it finishes. Racers serialize on the mutex; whichever arrives
-  // first performs the join, late arrivals see an unjoinable thread and fall
-  // through. (The old std::call_once could never be re-armed, which restart()
-  // needs after relaunching the scheduler.)
+  // first performs the join, late arrivals find no lane and fall through.
   std::lock_guard<std::mutex> lock(join_mutex_);
-  if (scheduler_.joinable()) scheduler_.join();
+  for (auto& lane : lanes_) lane.join();
+  lanes_.clear();
+  // Every lane is gone: leave the index exactly as a never-degraded server
+  // would, and settle the open degraded stint into the accumulator.
+  const double now_ms = clock_->now_ms();
+  std::lock_guard<std::mutex> slock(stats_mutex_);
+  if (degraded_) {
+    system_.set_index_degraded(false);
+    degraded_ = false;
+    ledger_.degraded_accum_ms += std::max(0.0, now_ms - degraded_since_ms_);
+  }
 }
 
 bool RetrievalServer::stopped() const {
@@ -322,8 +354,8 @@ void RetrievalServer::crash() {
     if (stop_) return;  // already down (crashed or shut down)
     stop_ = true;
     crashed_.store(true, std::memory_order_release);
-    // NO draining — the queue dies with the process. Move it out so the
-    // scheduler wakes to an empty queue and exits immediately.
+    // NO draining — the queue dies with the process. Move it out so every
+    // lane wakes to an empty queue and exits once its batch is done.
     while (!queue_.empty()) {
       orphans.push_back(std::move(queue_.front()));
       queue_.pop_front();
@@ -331,9 +363,9 @@ void RetrievalServer::crash() {
   }
   not_empty_.notify_all();
   not_full_.notify_all();
-  join_scheduler();
-  // Requests the scheduler had in flight failed inside process_batch (it
-  // polls crashed_); the queued ones die here.
+  join_lanes();
+  // Requests the lanes had in flight failed inside process_batch (it polls
+  // crashed_); the queued ones die here.
   fail_lost(orphans);
   std::lock_guard<std::mutex> slock(stats_mutex_);
   ++ledger_.crashes;
@@ -343,7 +375,7 @@ ServerSnapshot RetrievalServer::snapshot() const {
   if (!stopped()) {
     throw std::logic_error(
         "RetrievalServer::snapshot: requires a stopped server (a consistent "
-        "ledger cannot be read out from under a live scheduler)");
+        "ledger cannot be read out from under live lanes)");
   }
   ServerSnapshot snap;
   snap.epoch = epoch_.load(std::memory_order_relaxed);
@@ -372,7 +404,7 @@ void RetrievalServer::restart_internal(const ServerSnapshot* snap) {
           "RetrievalServer::restart: server is still running");
     }
   }
-  join_scheduler();  // the previous scheduler must be fully gone
+  join_lanes();  // the previous lanes must be fully gone
 
   if (snap == nullptr) {
     // A new process with empty ledgers: billing reconciliation across the
@@ -390,16 +422,13 @@ void RetrievalServer::restart_internal(const ServerSnapshot* snap) {
     }
     std::lock_guard<std::mutex> slock(stats_mutex_);
     ledger_ = ledger;
-    degraded_stat_ = false;  // recovery restores the configured index mode
     if (snap->has_limiter && limiter_ != nullptr) {
       limiter_->restore(snap->limiter);
     }
   }
 
-  // The scheduler is not running, so its thread-private ladder state is safe
-  // to reset here; the index itself was already restored non-degraded by the
-  // exiting scheduler (or by a gallery snapshot load).
-  degraded_mode_ = false;
+  // Recovery restores the configured index mode. join_lanes already left
+  // the index non-degraded; this also covers a gallery snapshot load.
   system_.set_index_degraded(false);
 
   const std::int64_t base =
@@ -410,10 +439,15 @@ void RetrievalServer::restart_internal(const ServerSnapshot* snap) {
     stop_ = false;
     crashed_.store(false, std::memory_order_release);
   }
-  scheduler_ = std::thread([this] { scheduler_loop(); });
+  launch_lanes();
 }
 
-void RetrievalServer::scheduler_loop() {
+void RetrievalServer::lane_loop(std::size_t lane) {
+  // Every parallel_for this lane issues — the extractor's kernels, the index
+  // scan — runs inline here: the other lanes keep the cores busy.
+  const ThreadPool::InlineScope inline_scope(compute_pool());
+  models::FeatureExtractor& extractor =
+      lane == 0 ? system_.extractor() : *replicas_[lane - 1];
   std::vector<Request> batch;
   std::vector<Request> expired;
   for (;;) {
@@ -422,38 +456,49 @@ void RetrievalServer::scheduler_loop() {
       std::unique_lock<std::mutex> lock(mutex_);
       not_empty_.wait(lock, [this] { return stop_ || !queue_.empty(); });
       if (queue_.empty()) break;  // stop_ set and everything drained
-      if (config_.batch_timeout_ms > 0.0 && !stop_ &&
-          queue_.size() < config_.max_batch) {
-        // Latency-aware batching: pay a bounded wall wait for a fuller
-        // batch, draining early the moment the batch fills or shutdown
-        // begins. The queue only shrinks on this thread, so it is still
-        // non-empty when the wait returns.
-        not_empty_.wait_for(
-            lock,
-            std::chrono::duration<double, std::milli>(config_.batch_timeout_ms),
-            [this] { return stop_ || queue_.size() >= config_.max_batch; });
+      std::size_t take = config_.max_batch;
+      if (config_.batch_timeout_ms > 0.0) {
+        if (!stop_ && queue_.size() < config_.max_batch) {
+          // Latency-aware batching: pay a bounded wall wait for a fuller
+          // batch, draining early the moment the batch fills or shutdown
+          // begins.
+          not_empty_.wait_for(
+              lock,
+              std::chrono::duration<double, std::milli>(
+                  config_.batch_timeout_ms),
+              [this] { return stop_ || queue_.size() >= config_.max_batch; });
+          // Another lane took the requests meanwhile: no tick.
+          if (queue_.empty()) continue;
+        }
+      } else {
+        // Share a backlog across the lanes instead of serving it on one.
+        take = std::min(take, (queue_.size() + lanes() - 1) / lanes());
       }
       occupancy = queue_.size();
       batch.clear();
       expired.clear();
       // Shed expired requests before they cost a batch slot (and before the
-      // backend pays for extraction): only live requests fill the batch.
+      // backend pays for extraction): only live requests fill the batch,
+      // each with its fault decision drawn here, in arrival order.
       const double now_ms = clock_->now_ms();
-      while (batch.size() < config_.max_batch && !queue_.empty()) {
+      while (batch.size() < take && !queue_.empty()) {
         Request r = std::move(queue_.front());
         queue_.pop_front();
         if (r.has_deadline && now_ms > r.deadline_ms) {
           expired.push_back(std::move(r));
-        } else {
-          batch.push_back(std::move(r));
+          continue;
         }
+        if (config_.fault_injector != nullptr) {
+          r.fault = config_.fault_injector->next();
+        }
+        batch.push_back(std::move(r));
       }
     }
     not_full_.notify_all();
     // Ladder decisions use the occupancy this tick *saw*, before draining:
     // the batch about to be served is the one that pays (or stops paying)
     // the recall trade.
-    update_degradation(occupancy);
+    const bool degraded = update_degradation(occupancy);
     if (!expired.empty()) {
       {
         std::lock_guard<std::mutex> lock(stats_mutex_);
@@ -463,70 +508,51 @@ void RetrievalServer::scheduler_loop() {
       fail_each_billed(expired, ServeErrorCode::kExpired,
                        "RetrievalServer: deadline expired while queued");
     }
-    if (!batch.empty()) process_batch(batch);
-  }
-  // Drained for shutdown: leave the index exactly as a never-degraded
-  // server would, and settle the open degraded stint into the accumulator.
-  if (degraded_mode_) {
-    system_.set_index_degraded(false);
-    degraded_mode_ = false;
-    const double now_ms = clock_->now_ms();
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ledger_.degraded_accum_ms += std::max(0.0, now_ms - degraded_since_ms_);
-    degraded_stat_ = false;
+    if (!batch.empty()) process_batch(extractor, batch, degraded);
   }
 }
 
-void RetrievalServer::update_degradation(std::size_t occupancy) {
+bool RetrievalServer::update_degradation(std::size_t occupancy) {
   const auto decile = std::min<std::size_t>(
       10, occupancy * 10 / config_.queue_capacity);
-  bool entered = false;
-  bool left = false;
-  if (config_.degrade_high > 0.0) {
-    const double frac = static_cast<double>(occupancy) /
-                        static_cast<double>(config_.queue_capacity);
-    if (!degraded_mode_ && frac >= config_.degrade_high) {
-      // set_index_degraded reports whether the index has a cheaper mode at
-      // all — the flat exact scan does not, and then the server never
-      // pretends to be degraded.
-      degraded_mode_ = system_.set_index_degraded(true);
-      entered = degraded_mode_;
-    } else if (degraded_mode_ && frac <= config_.degrade_low) {
-      system_.set_index_degraded(false);
-      degraded_mode_ = false;
-      left = true;
-    }
-  }
+  const double frac = static_cast<double>(occupancy) /
+                      static_cast<double>(config_.queue_capacity);
   const double now_ms = clock_->now_ms();
   std::lock_guard<std::mutex> lock(stats_mutex_);
   ++ledger_.occupancy_deciles[decile];
-  if (entered) {
-    ++ledger_.degrade_entries;
-    degraded_since_ms_ = now_ms;
-    degraded_stat_ = true;
-  } else if (left) {
-    ledger_.degraded_accum_ms += std::max(0.0, now_ms - degraded_since_ms_);
-    degraded_stat_ = false;
+  if (config_.degrade_high > 0.0) {
+    if (!degraded_ && frac >= config_.degrade_high) {
+      // set_index_degraded reports whether the index has a cheaper mode at
+      // all — the flat exact scan does not, and then the server never
+      // pretends to be degraded.
+      degraded_ = system_.set_index_degraded(true);
+      if (degraded_) {
+        ++ledger_.degrade_entries;
+        degraded_since_ms_ = now_ms;
+      }
+    } else if (degraded_ && frac <= config_.degrade_low) {
+      system_.set_index_degraded(false);
+      degraded_ = false;
+      ledger_.degraded_accum_ms += std::max(0.0, now_ms - degraded_since_ms_);
+    }
   }
+  return degraded_;
 }
 
-void RetrievalServer::process_batch(std::vector<Request>& batch) {
+void RetrievalServer::process_batch(models::FeatureExtractor& extractor,
+                                    std::vector<Request>& batch,
+                                    bool degraded) {
   // A crash kills in-flight work: a batch picked up after the crash flag
   // went up dies as lost instead of being served by a "dead" process.
   if (crashed_.load(std::memory_order_acquire)) {
     fail_lost(batch);
     return;
   }
-  // Fault decisions are drawn up front, one per request in arrival order, so
-  // the injected schedule is a pure function of the injector seed and the
-  // request sequence — independent of batching.
-  std::vector<FaultKind> faults(batch.size(), FaultKind::kNone);
-  if (config_.fault_injector != nullptr) {
-    for (auto& f : faults) f = config_.fault_injector->next();
-  }
 
-  // Featurize the whole tick in one extract_batch call. A failure here (bad
-  // geometry, extractor misuse) poisons the batch, not the scheduler: every
+  // Featurize the whole tick in one extract_batch call, on this lane's
+  // extractor: a replica first takes the system extractor's weights, so an
+  // update between batches reaches every lane. A failure here (bad
+  // geometry, extractor misuse) poisons the batch, not the lane: every
   // affected future gets a fatal ServeError, billed and counted as faulted,
   // and the loop keeps serving.
   std::vector<video::Video> videos;
@@ -535,7 +561,10 @@ void RetrievalServer::process_batch(std::vector<Request>& batch) {
 
   std::vector<Tensor> features;
   try {
-    features = system_.extractor().extract_batch(videos);
+    if (&extractor != &system_.extractor()) {
+      extractor.copy_parameters_from(system_.extractor());
+    }
+    features = extractor.extract_batch(videos);
   } catch (const std::exception& e) {
     count_faulted(batch, /*lost=*/false);
     fail_each_billed(batch, ServeErrorCode::kFatal,
@@ -544,25 +573,18 @@ void RetrievalServer::process_batch(std::vector<Request>& batch) {
     return;
   }
 
-  // Answer the index lookups for every request that will need one, fanned
-  // out across the compute pool (the pool runs each request's nested shard
-  // scan inline on the thread that took the request, so this is a flat
-  // per-request fan-out). Answers are bitwise identical to the serial loop
-  // — each slot is written by exactly one worker — and fulfillment below
-  // stays in arrival order.
+  // Answer the index lookup of every request that will need one, in
+  // arrival order; each scan runs inline on this lane.
   struct Answer {
     metrics::RetrievalList list;
     std::exception_ptr error;
   };
   std::vector<Answer> answers(batch.size());
-  std::vector<std::size_t> needs_answer;
-  needs_answer.reserve(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (faults[i] == FaultKind::kNone || faults[i] == FaultKind::kDelay) {
-      needs_answer.push_back(i);
+    if (batch[i].fault != FaultKind::kNone &&
+        batch[i].fault != FaultKind::kDelay) {
+      continue;
     }
-  }
-  const auto answer_one = [&](std::size_t i) {
     try {
       const auto neighbors = system_.retrieve_feature(features[i], batch[i].m);
       answers[i].list.reserve(neighbors.size());
@@ -573,13 +595,6 @@ void RetrievalServer::process_batch(std::vector<Request>& batch) {
                      std::string("RetrievalServer: backend failure: ") +
                          e.what()));
     }
-  };
-  if (needs_answer.size() > 1) {
-    compute_pool().parallel_for(needs_answer.size(), [&](std::size_t j) {
-      answer_one(needs_answer[j]);
-    });
-  } else {
-    for (const std::size_t i : needs_answer) answer_one(i);
   }
 
   // Last pre-response crash check: if the process "died" while the answers
@@ -596,7 +611,7 @@ void RetrievalServer::process_batch(std::vector<Request>& batch) {
   served_lat.reserve(batch.size());
   std::vector<std::size_t> faulted_idx;
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    switch (faults[i]) {
+    switch (batch[i].fault) {
       case FaultKind::kTransientError:
         batch[i].promise.set_exception(std::make_exception_ptr(
             ServeError(ServeErrorCode::kTransient, /*billed=*/true,
@@ -633,7 +648,7 @@ void RetrievalServer::process_batch(std::vector<Request>& batch) {
 
   std::lock_guard<std::mutex> lock(stats_mutex_);
   ledger_.queries_served += static_cast<std::int64_t>(served_lat.size());
-  if (degraded_mode_) {  // scheduler thread: its own ladder state
+  if (degraded) {
     ledger_.degraded_served += static_cast<std::int64_t>(served_lat.size());
   }
   ledger_.faults_injected += static_cast<std::int64_t>(faulted_idx.size());
@@ -683,12 +698,12 @@ ServerStats RetrievalServer::stats() const {
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     static_cast<Ledger&>(out) = ledger_;
-    out.degraded_now = degraded_stat_;
+    out.degraded_now = degraded_;
     // An open degraded stint counts up to the snapshot, so degraded_ms is
     // monotone in time, not only at exit ticks.
     out.degraded_ms =
         ledger_.degraded_accum_ms +
-        (degraded_stat_ ? std::max(0.0, now_ms - degraded_since_ms_) : 0.0);
+        (degraded_ ? std::max(0.0, now_ms - degraded_since_ms_) : 0.0);
   }
   out.latency_samples_retained =
       static_cast<std::int64_t>(out.latency.samples.size());
@@ -727,7 +742,7 @@ void RetrievalServer::reset_stats() {
   ledger_ = std::move(fresh);
   // A reset during an open degraded stint restarts the stint's clock; the
   // ladder state itself (degraded or not) is serving reality, not a stat.
-  if (degraded_stat_) degraded_since_ms_ = now_ms;
+  if (degraded_) degraded_since_ms_ = now_ms;
 }
 
 }  // namespace duo::serve

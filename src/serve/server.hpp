@@ -2,12 +2,18 @@
 
 // RetrievalServer: the victim R(·) as a deployed, latency-bound service
 // rather than a synchronous in-process call. Clients submit(video, m) from
-// any thread and get a std::future for the retrieval list; a dedicated
-// scheduler thread drains up to `max_batch` queued requests per tick,
-// featurizes them with one FeatureExtractor::extract_batch call (sharded
-// over extractor replicas kept across batches), answers each against the index
-// (per-request lookups fanned out over compute_pool(), each inner shard
-// scan serial), and fulfills the futures in arrival order.
+// any thread and get a std::future for the retrieval list. The server runs
+// one lane per compute_pool() thread (lanes()). A lane is a server-owned
+// thread that serves whole batches on its own extractor: each tick it
+// drains a batch from the shared queue, featurizes it with one
+// FeatureExtractor::extract_batch call, answers each request against the
+// index and fulfills the futures in arrival order. Every parallel_for a
+// lane issues runs inline on it (ThreadPool::InlineScope), so no batch is
+// fanned out and joined: parallelism comes from lanes serving different
+// batches at once. Lane 0 serves on the system's extractor, lanes 1…L−1 on
+// clones made at construction, each of which gets the extractor's weights
+// again at the start of every batch. An extractor that cannot clone gets
+// one lane, as does DUO_THREADS=1.
 //
 // The server is index-agnostic: it serves whatever GalleryIndex the
 // RetrievalSystem was configured with (retrieval::IndexConfig — exact flat
@@ -16,21 +22,23 @@
 //
 // Correctness contract: answers are bitwise identical to direct
 // RetrievalSystem::retrieve calls regardless of client count, arrival order,
-// or max_batch — batching amortizes cost, it never changes results
-// (extract_batch guarantees bitwise equality with serial extraction, and
-// the batched index fan-out writes each answer slot from exactly one
-// worker).
+// max_batch or the lane that served them — batching amortizes cost, it
+// never changes results (extract_batch guarantees bitwise equality with
+// serial extraction, and every lane's extractor carries the system
+// extractor's weights).
 //
 // Concurrency contract: submit is MPMC-safe and applies backpressure — it
 // blocks while the bounded queue is full (submit_with_deadline bounds the
 // wait instead). The server has exclusive use of the RetrievalSystem's
 // extractor while running; do not call system.retrieve()/extract_features()
-// directly between construction and shutdown(). shutdown() is graceful: it
-// stops accepting new requests, drains every queued request, and joins the
-// scheduler, so no fulfilled-before-shutdown future is ever abandoned; it is
-// idempotent AND safe to race from multiple threads (late callers block
-// until the draining join completes). A submit that arrives after (or loses
-// the race with) shutdown gets a ServeError{kShutdown} set instead.
+// directly between construction and shutdown(). A weight update made while
+// no request is in flight (copy_parameters_from on the extractor) reaches
+// every lane at its next batch. shutdown() is graceful: it stops accepting
+// new requests, drains every queued request, and joins every lane, so no
+// fulfilled-before-shutdown future is ever abandoned; it is idempotent AND
+// safe to race from multiple threads (late callers block until the
+// draining join completes). A submit that arrives after (or loses the race
+// with) shutdown gets a ServeError{kShutdown} set instead.
 //
 // Overload model (all decisions read time through ServerConfig::clock, so a
 // VirtualClock makes them deterministic):
@@ -46,14 +54,16 @@
 //    future fails with ServeError{kShed}; the evictee WAS accepted, so it
 //    stays billed). kBlock is the legacy backpressure behaviour.
 //  - Deadline propagation: RequestOptions::ttl_ms attaches a deadline at
-//    enqueue; the scheduler sheds expired requests *before* paying for
-//    extraction (ServeError{kExpired}, billed — they were accepted) and they
-//    never consume batch slots.
+//    enqueue; a lane sheds expired requests *before* paying for extraction
+//    (ServeError{kExpired}, billed — they were accepted) and they never
+//    consume batch slots.
 //
-// Fault model: when ServerConfig::fault_injector is set, the scheduler
-// consults it once per request in arrival order while fulfilling — injected
-// transient errors fail the future with a retryable ServeError, delays
-// stall the answer, drops abandon the promise (the future surfaces
+// Fault model: when ServerConfig::fault_injector is set, a lane draws one
+// decision per request as it drains the request from the queue, under the
+// queue lock, so the schedule follows arrival order whichever lane serves
+// the request. At fulfillment, injected transient errors fail the future
+// with a retryable ServeError, delays stall the answer (and the lane),
+// drops abandon the promise (the future surfaces
 // std::future_error{broken_promise}), and fatal faults fail it with a
 // non-retryable ServeError. The backend work still happens, so every
 // injected fault is billed; see serve/fault_injection.hpp. A backend
@@ -81,14 +91,16 @@
 #include "retrieval/system.hpp"
 #include "serve/admission.hpp"
 #include "serve/clock.hpp"
+#include "serve/fault_injection.hpp"
 #include "video/video.hpp"
 
 namespace duo::serve {
 
-class FaultInjector;  // serve/fault_injection.hpp
-
 struct ServerConfig {
-  // Maximum requests drained into one extract_batch call per scheduler tick.
+  // Maximum requests one lane drains into one extract_batch call. With
+  // batch_timeout_ms == 0 a lane drains ceil(queued / lanes) requests, at
+  // most max_batch, so a backlog is shared across lanes instead of served
+  // by one; a coalescing tick (batch_timeout_ms > 0) drains up to max_batch.
   std::size_t max_batch = 8;
   // Bounded request queue; submit blocks while the queue holds this many.
   std::size_t queue_capacity = 64;
@@ -96,7 +108,7 @@ struct ServerConfig {
   // separately); memory stays O(latency_reservoir) however long the server
   // lives.
   std::size_t latency_reservoir = 512;
-  // Optional fault schedule applied per request at fulfillment time.
+  // Optional fault schedule, one decision per request in arrival order.
   std::shared_ptr<FaultInjector> fault_injector;
 
   // Overload policy. All time reads go through `clock` (null = wall time).
@@ -115,23 +127,27 @@ struct ServerConfig {
   // Bounded per-client latency reservoir (the global reservoir keeps
   // `latency_reservoir` samples; each client additionally keeps this many).
   std::size_t client_latency_reservoir = 128;
-  // Latency-aware batching: > 0 lets a scheduler tick that woke with fewer
-  // than max_batch queued requests wait up to this many milliseconds of
-  // real wall time for a fuller batch before draining (it drains early the
-  // moment max_batch requests are queued, or on shutdown). 0 drains
-  // immediately — the legacy latency-first behaviour. Batch composition
-  // never affects answers, so the correctness contract is unchanged.
+  // Latency-aware batching: > 0 lets a lane that woke with fewer than
+  // max_batch queued requests wait up to this many milliseconds of real
+  // wall time for a fuller batch, then drain up to max_batch (it drains
+  // early the moment max_batch requests are queued, or on shutdown). When
+  // another lane took every request during the wait, the waiting lane
+  // records no tick. 0 drains immediately, sharing a backlog across lanes
+  // (see max_batch). Batch composition never affects answers, so the
+  // correctness contract is unchanged.
   double batch_timeout_ms = 0.0;
   // Graceful-degradation ladder: when tick-start queue occupancy reaches
-  // degrade_high × queue_capacity, the scheduler puts the index in degraded
-  // mode (GalleryIndex::set_degraded — IVF probes degraded_nprobe cells,
-  // trading recall for latency); it leaves degraded mode once occupancy
-  // falls back to degrade_low × queue_capacity. The gap is the hysteresis
-  // band that keeps the ladder from flapping tick-to-tick. degrade_high = 0
-  // disables degradation entirely (default). While degraded, answers may
-  // differ from direct RetrievalSystem::retrieve calls — the one deliberate
-  // exception to the bitwise correctness contract, always observable via
-  // ServerStats.
+  // degrade_high × queue_capacity, a lane puts the index in degraded mode
+  // (GalleryIndex::set_degraded — IVF probes degraded_nprobe cells, trading
+  // recall for latency); it leaves degraded mode once occupancy falls back
+  // to degrade_low × queue_capacity. The gap is the hysteresis band that
+  // keeps the ladder from flapping tick-to-tick; every lane's tick moves
+  // it. degrade_high = 0 disables degradation entirely (default). While
+  // degraded, answers may differ from direct RetrievalSystem::retrieve
+  // calls — the one deliberate exception to the bitwise correctness
+  // contract, observable via ServerStats: degrade_entries and degraded_ms
+  // are exact; degraded_served is approximate when several lanes run (see
+  // Ledger::degraded_served).
   double degrade_high = 0.0;
   double degrade_low = 0.25;
 };
@@ -142,9 +158,9 @@ struct RequestOptions {
   // key (the anonymous client).
   std::string client_id;
   // Freshness budget: > 0 attaches deadline = now + ttl_ms at enqueue; the
-  // scheduler sheds the request unextracted once the deadline passes. 0
-  // means no deadline. Negative means already expired — deterministically
-  // shed on the next scheduler tick (useful in tests).
+  // lane that drains the request sheds it unextracted once the deadline
+  // passes. 0 means no deadline. Negative means already expired —
+  // deterministically shed on the next lane tick (useful in tests).
   double ttl_ms = 0.0;
 
   bool has_deadline() const noexcept { return ttl_ms != 0.0; }
@@ -208,7 +224,7 @@ struct ClientLedger {
 // mutex), the crash snapshot and the base of ServerStats.
 struct Ledger {
   std::int64_t queries_served = 0;   // futures fulfilled with a value
-  std::int64_t batches = 0;          // scheduler ticks that processed work
+  std::int64_t batches = 0;          // lane ticks that served a batch
   // Requests failed or dropped after acceptance: injected faults, crash
   // losses and backend failures (ClientLedger::faulted, summed).
   std::int64_t faults_injected = 0;
@@ -223,9 +239,10 @@ struct Ledger {
   // batch_size_counts[s] = number of ticks that drained exactly s requests;
   // index 0 is unused, size() == max_batch + 1.
   std::vector<std::int64_t> batch_size_counts;
-  // occupancy_deciles[d] = scheduler ticks whose tick-start queue occupancy
-  // was in [d, d+1) tenths of queue_capacity; index 10 counts ticks at (or
-  // beyond) full. size() == 11.
+  // occupancy_deciles[d] = lane ticks whose tick-start queue occupancy was
+  // in [d, d+1) tenths of queue_capacity; index 10 counts ticks at (or
+  // beyond) full. size() == 11. A tick that drains only expired requests
+  // counts here but not in `batches`.
   std::vector<std::int64_t> occupancy_deciles;
   // retry_after_buckets[b] = retry_after hints handed out with throttle /
   // admission-reject failures, bucketed by power of two: bucket 0 holds
@@ -237,7 +254,11 @@ struct Ledger {
   LatencyReservoir latency;
   // Degradation totals: entries into degraded mode, clock time spent in
   // completed degraded stints, and answers served while degraded (the
-  // requests whose recall may be reduced).
+  // requests whose recall may be reduced). degraded_served counts a batch
+  // by the mode its lane read when it took the batch, while each scan reads
+  // the index's own flag. With one lane the two agree; with several,
+  // another lane can flip the index in between, so answers in flight at a
+  // transition may be counted in the other mode.
   std::int64_t degrade_entries = 0;
   double degraded_accum_ms = 0.0;
   std::int64_t degraded_served = 0;
@@ -365,7 +386,7 @@ class RetrievalServer {
                                      std::chrono::milliseconds deadline,
                                      const RequestOptions& opts = {});
 
-  // Stop accepting requests, drain every queued request, join the scheduler.
+  // Stop accepting requests, drain every queued request, join every lane.
   // Idempotent and safe to call concurrently from multiple threads; every
   // caller returns only once draining has completed. Called by the
   // destructor.
@@ -374,10 +395,10 @@ class RetrievalServer {
 
   // --- crash / restart lifecycle -----------------------------------------
   // Abrupt process-death simulation: NO draining. Every queued request and
-  // any batch the scheduler had in flight fails with a retryable
+  // any batch a lane had in flight fails with a retryable
   // ServeError{kConnectionLost, billed=true} (they were accepted, so they
   // stay billed — counted as faulted+lost, keeping the ledger formula
-  // intact), the scheduler is joined, and subsequent submits fail with
+  // intact), every lane is joined, and subsequent submits fail with
   // kConnectionLost (unbilled) instead of the terminal kShutdown, so
   // resilient clients keep retrying through the downtime. Idempotent; a
   // no-op on an already-stopped server.
@@ -388,7 +409,7 @@ class RetrievalServer {
 
   // Complete accounting snapshot for durable recovery. Requires stopped()
   // (throws std::logic_error otherwise): a consistent ledger cannot be read
-  // out from under a live scheduler.
+  // out from under live lanes.
   ServerSnapshot snapshot() const;
 
   // Bring a crashed (or shut-down) server back up on the same clock and the
@@ -420,6 +441,9 @@ class RetrievalServer {
   double client_rate() const;
 
   const ServerConfig& config() const noexcept { return config_; }
+  // Number of lanes: compute_pool().size() at construction, or 1 when the
+  // extractor cannot clone.
+  std::size_t lanes() const noexcept { return replicas_.size() + 1; }
   Clock& clock() noexcept { return *clock_; }
   // The served system. Only safe to touch directly once stopped().
   retrieval::RetrievalSystem& system() noexcept { return system_; }
@@ -433,14 +457,18 @@ class RetrievalServer {
     bool has_deadline = false;
     double deadline_ms = 0.0;  // absolute, in clock_->now_ms() terms
     std::string client_id;     // RequestOptions::client_id, for attribution
+    FaultKind fault = FaultKind::kNone;  // drawn when a lane drains it
   };
 
   void start();
-  // Join the scheduler thread; serializes racing callers and is idempotent
-  // (late callers see an unjoinable thread). A mutex instead of the old
-  // std::once_flag because restart() must be able to relaunch the scheduler
-  // — a once_flag can never be re-armed.
-  void join_scheduler();
+  // Launch one thread per lane.
+  void launch_lanes();
+  // Join every lane, then restore the index and settle an open degraded
+  // stint, as a never-degraded server would leave them. Serializes racing
+  // callers and is idempotent (late callers find nothing to join). A mutex
+  // instead of a std::once_flag because restart() must be able to relaunch
+  // the lanes — a once_flag can never be re-armed.
+  void join_lanes();
   // Fail `lost` requests with ServeError{kConnectionLost, billed=true} and
   // account them as faulted+lost, globally and per client.
   void fail_lost(std::vector<Request>& lost);
@@ -455,12 +483,16 @@ class RetrievalServer {
   // (with the rejection ServeError set on the promise) when not enqueued.
   bool enqueue(Request& req, const std::chrono::milliseconds* deadline,
                const RequestOptions& opts);
-  void scheduler_loop();
-  void process_batch(std::vector<Request>& batch);
+  // Lane `lane` serves on `lane == 0 ? system's extractor : replicas_[lane - 1]`.
+  void lane_loop(std::size_t lane);
+  // Serve `batch` on `extractor`; `degraded` is the ladder mode the lane
+  // read when it took the batch, for degraded_served.
+  void process_batch(models::FeatureExtractor& extractor,
+                     std::vector<Request>& batch, bool degraded);
   // Walk the degradation ladder for a tick that started with `occupancy`
-  // queued requests (also records the occupancy histogram). Called from the
-  // scheduler thread only, outside mutex_.
-  void update_degradation(std::size_t occupancy);
+  // queued requests (also records the occupancy histogram) and return the
+  // mode the tick leaves it in. Any lane; takes stats_mutex_.
+  bool update_degradation(std::size_t occupancy);
   void record_retry_after(double hint_ms);  // requires stats_mutex_ held
   // Lazily creates the client's entry. Requires stats_mutex_ held.
   ClientLedger& client_slot(const std::string& client_id);
@@ -478,22 +510,22 @@ class RetrievalServer {
   std::deque<Request> queue_;
   bool stop_ = false;
   // True while down due to crash() — distinguishes the retryable
-  // "reconnect later" submit failure from terminal kShutdown. Atomic so the
-  // scheduler can poll it mid-batch without taking mutex_.
+  // "reconnect later" submit failure from terminal kShutdown. Atomic so a
+  // lane can poll it mid-batch without taking mutex_.
   std::atomic<bool> crashed_{false};
   std::atomic<std::int64_t> epoch_{1};
-  std::mutex join_mutex_;  // serializes the scheduler join across racers
+  std::mutex join_mutex_;  // serializes lane launch and join across racers
 
   mutable std::mutex stats_mutex_;
   Ledger ledger_;  // guarded by stats_mutex_
-  // Degradation ladder state. degraded_mode_ is the scheduler thread's
-  // private view (no lock); the open stint below is its mirror under
-  // stats_mutex_, from which stats() reports.
-  bool degraded_mode_ = false;
-  double degraded_since_ms_ = 0.0;   // start of the current stint
-  bool degraded_stat_ = false;       // mirror of degraded_mode_
+  // Degradation ladder state, guarded by stats_mutex_: whether the index is
+  // degraded, and when the current stint began.
+  bool degraded_ = false;
+  double degraded_since_ms_ = 0.0;
 
-  std::thread scheduler_;  // last member: started after everything above
+  // Extractors of lanes 1…L−1, cloned at construction.
+  std::vector<std::unique_ptr<models::FeatureExtractor>> replicas_;
+  std::vector<std::thread> lanes_;  // last member: started after the above
 };
 
 }  // namespace duo::serve

@@ -3,14 +3,19 @@
 // Shared test fixture: a tiny synthetic world (dataset + trained victim
 // retrieval system + trained surrogate) built once per test binary. Keeping
 // it a lazy singleton makes the attack tests fast while still exercising the
-// full pipeline against a *trained* victim.
+// full pipeline against a *trained* victim. Beside it: a scoped compute-pool
+// pin and a forwarding extractor with test hooks.
 
+#include <functional>
 #include <memory>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "attack/sparse_query.hpp"
 #include "attack/surrogate.hpp"
+#include "common/thread_pool.hpp"
 #include "models/feature_extractor.hpp"
 #include "nn/losses.hpp"
 #include "retrieval/system.hpp"
@@ -18,6 +23,61 @@
 #include "video/synthetic.hpp"
 
 namespace duo::testing {
+
+// Pins compute_pool() to a pool of `threads` workers for one scope, and so
+// a RetrievalServer's lane count, restoring the shared pool on exit, also
+// on an exception. Declare it before the servers it sizes: they must stop
+// before the pool they run inline on goes away.
+struct PinnedComputePool {
+  explicit PinnedComputePool(std::size_t threads) : pool(threads) {
+    set_compute_pool(&pool);
+  }
+  ~PinnedComputePool() { set_compute_pool(nullptr); }
+  PinnedComputePool(const PinnedComputePool&) = delete;
+  PinnedComputePool& operator=(const PinnedComputePool&) = delete;
+
+  ThreadPool pool;
+};
+
+// Callbacks a test hooks into an extractor; either may be empty.
+struct ExtractorHooks {
+  std::function<void()> on_forward;  // before every forward
+  std::function<void()> on_clone;    // before every clone()
+};
+
+// Forwards every call to the wrapped extractor, running the hooks first.
+// A clone wraps a clone of the inner extractor and shares the hooks, so
+// they see every replica extract_batch or a server lane makes.
+class HookedExtractor final : public models::FeatureExtractor {
+ public:
+  HookedExtractor(std::unique_ptr<models::FeatureExtractor> inner,
+                  std::shared_ptr<const ExtractorHooks> hooks)
+      : inner_(std::move(inner)), hooks_(std::move(hooks)) {}
+
+  Tensor extract_model_input(const Tensor& input) override {
+    if (hooks_->on_forward) hooks_->on_forward();
+    return inner_->extract_model_input(input);
+  }
+  Tensor backward_to_input(const Tensor& grad_feature) override {
+    return inner_->backward_to_input(grad_feature);
+  }
+  std::vector<nn::Parameter*> parameters() override {
+    return inner_->parameters();
+  }
+  void set_training(bool training) override { inner_->set_training(training); }
+  std::unique_ptr<models::FeatureExtractor> clone() const override {
+    if (hooks_->on_clone) hooks_->on_clone();
+    auto inner = inner_->clone();
+    if (!inner) return nullptr;
+    return std::make_unique<HookedExtractor>(std::move(inner), hooks_);
+  }
+  std::int64_t feature_dim() const override { return inner_->feature_dim(); }
+  std::string name() const override { return inner_->name(); }
+
+ private:
+  std::unique_ptr<models::FeatureExtractor> inner_;
+  std::shared_ptr<const ExtractorHooks> hooks_;
+};
 
 struct TinyWorld {
   video::DatasetSpec spec;

@@ -3,8 +3,8 @@
 // Test helpers for sealed state files (models::io::save_sealed): read a
 // file's payload, re-seal an edited payload so a format's parser runs on it
 // rather than stopping at the digest, write an envelope with hostile fields,
-// draw seeded payload mutants, and read this process's address-space
-// high-water mark.
+// and draw seeded payload mutants. heap_peak.hpp measures what a loader
+// allocates.
 
 #include <cstdint>
 #include <cstring>
@@ -60,22 +60,6 @@ inline void write_sealed(const std::string& path, const char (&magic)[8],
                  models::io::fnv1a(payload.data(), payload.size()),
                  static_cast<std::int64_t>(payload.size()), payload);
 }
-
-// Address-space high-water mark of this process in kB, or -1 where
-// /proc/self/status is missing. A reader that allocates for a corrupt length
-// raises it even if it frees the buffer before returning false.
-inline long peak_vm_kb() {
-  std::ifstream status("/proc/self/status");
-  std::string line;
-  while (std::getline(status, line)) {
-    if (line.rfind("VmPeak:", 0) == 0) return std::stol(line.substr(7));
-  }
-  return -1;
-}
-
-// How far a loader may raise VmPeak on hostile input: below what the
-// hostile lengths in these tests would cost if honoured.
-constexpr long kVmGrowthBoundKb = 64 * 1024;
 
 // Mutant `i` of a seeded sequence over the payload `base`. i % 5 picks a
 // bit flip, an extreme byte, a truncation, a splice (a prefix of `base`, a

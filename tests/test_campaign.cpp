@@ -32,11 +32,7 @@ using campaign::SessionSpec;
 
 template <typename Fn>
 auto with_compute_threads(std::size_t threads, Fn&& fn) {
-  ThreadPool pool(threads);
-  struct Restore {
-    ~Restore() { set_compute_pool(nullptr); }
-  } restore;
-  set_compute_pool(&pool);
+  const testing::PinnedComputePool pinned(threads);
   return fn();
 }
 
@@ -503,9 +499,17 @@ TEST(Campaign, KillAndResumeMatchesUninterrupted) {
           .run();
   ASSERT_TRUE(reference.all_completed());
   EXPECT_TRUE(reference.ledger_ok);
+  // Uninterrupted, every session reports exactly what it was billed: an
+  // attack's reference-list queries are part of its spend.
+  for (const auto& s : reference.sessions) {
+    EXPECT_EQ(s.queries_reported, s.queries_billed) << s.client_id;
+  }
 
   // Kill: from arrival 45 every request fails transiently forever, so every
-  // session exhausts its retry budget and dies with a checkpoint on disk.
+  // session exhausts its retry budget and dies, with a checkpoint on disk
+  // unless it dies before its first one. Arrival order across sessions is
+  // the schedule's: while one session's thread waits for a core, the
+  // server's lanes can answer 45 requests of the others.
   const std::string dir = scratch_dir("acceptance");
   CampaignManifest killed_manifest = healthy;
   killed_manifest.checkpoint_dir = dir;
@@ -518,6 +522,14 @@ TEST(Campaign, KillAndResumeMatchesUninterrupted) {
   // Even a dying campaign keeps its books: every accepted submission is
   // accounted as served/faulted/expired/shed on both sides.
   EXPECT_TRUE(killed.ledger_ok);
+  bool attack_recorded = false;
+  for (const auto& s : killed.sessions) {
+    attack_recorded =
+        attack_recorded ||
+        (s.role != SessionRole::kBenign &&
+         std::filesystem::exists(dir + "/" + s.client_id + ".ck"));
+  }
+  EXPECT_TRUE(attack_recorded) << "no attack session reached a checkpoint";
 
   // Resume: the same manifest against a healthy victim picks every session
   // up from its checkpoint and must land bitwise on the reference outcomes.

@@ -25,6 +25,7 @@
 #include "baselines/vanilla.hpp"
 #include "common/rng.hpp"
 #include "fixtures.hpp"
+#include "heap_peak.hpp"
 #include "models/serialization.hpp"
 #include "retrieval/index.hpp"
 #include "retrieval/ivf_index.hpp"
@@ -38,7 +39,6 @@
 namespace duo {
 namespace {
 
-using duo::testing::peak_vm_kb;
 using duo::testing::read_file;
 using duo::testing::TinyWorld;
 
@@ -206,7 +206,7 @@ TEST(CrashRecovery, IndexLoadRejectsMismatchAndCorruption) {
 }
 
 // Regression for the IvfIndex move constructor (and the save/load contract):
-// the live degraded bit is the serve scheduler's load response, not index
+// the live degraded bit is the serve ladder's load response, not index
 // content — a snapshot taken while degraded must come back up with the
 // configured nprobe.
 TEST(CrashRecovery, DegradedBitNeverLeaksIntoSnapshotsOrMoves) {
@@ -594,15 +594,14 @@ TEST(CrashRecovery, SnapshotBucketCountBoundedByPayload) {
   serve::ServerSnapshot target = sample_snapshot();
   target.epoch = 42;  // sentinel
   const serve::ServerSnapshot expected = target;
-  const long peak_before = peak_vm_kb();
+  const std::int64_t heap_before = testing::reset_heap_peak();
   bool ok = true;
   EXPECT_NO_THROW(ok = serve::load_snapshot(target, path));
   EXPECT_FALSE(ok);
   EXPECT_TRUE(target == expected);
-  if (peak_before >= 0) {
-    EXPECT_LT(peak_vm_kb() - peak_before, testing::kVmGrowthBoundKb)
-        << "the loader reserved for the claimed bucket count";
-  }
+  EXPECT_LT(testing::heap_peak_bytes() - heap_before,
+            testing::kHeapGrowthBoundBytes)
+      << "the loader reserved for the claimed bucket count";
   std::remove(path.c_str());
 }
 
@@ -612,9 +611,9 @@ TEST(CrashRecovery, SnapshotBucketCountBoundedByPayload) {
 // payloads and edits to every length prefix. The loader either rejects the
 // mutant and leaves its target untouched, or returns a snapshot that holds
 // only finite doubles, saves to the bytes it was parsed from and loads back
-// equal. No mutant may raise VmPeak by more than the hostile-length bound,
-// though its length edits reach 2^24 client and bucket entries. ASan/UBSan
-// runs cover the parse.
+// equal. No mutant's load may raise the heap peak by more than the
+// hostile-length bound, though its length edits reach 2^24 client and
+// bucket entries. ASan/UBSan runs cover the parse.
 TEST(CrashRecovery, SnapshotLoaderSurvivesSeededMutation) {
   const std::string path = ::testing::TempDir() + "duo_crash_fuzz.snap";
   const std::string resaved = ::testing::TempDir() + "duo_crash_fuzz2.snap";
@@ -631,7 +630,6 @@ TEST(CrashRecovery, SnapshotLoaderSurvivesSeededMutation) {
 
   constexpr int kMutants = 12000;
   Rng rng(0xF022);
-  const long peak_before = peak_vm_kb();
   int loaded = 0;
   for (int i = 0; i < kMutants; ++i) {
     const std::string m = testing::seeded_mutant(i, base, donor, prefixes, rng);
@@ -639,11 +637,11 @@ TEST(CrashRecovery, SnapshotLoaderSurvivesSeededMutation) {
     serve::ServerSnapshot target = sample_snapshot();
     target.epoch = 42;  // sentinel
     const serve::ServerSnapshot expected = target;
+    const std::int64_t heap_before = testing::reset_heap_peak();
     const bool ok = serve::load_snapshot(target, path);
-    if (peak_before >= 0) {
-      ASSERT_LT(peak_vm_kb() - peak_before, testing::kVmGrowthBoundKb)
-          << "mutant " << i << " allocated for a hostile length";
-    }
+    ASSERT_LT(testing::heap_peak_bytes() - heap_before,
+              testing::kHeapGrowthBoundBytes)
+        << "mutant " << i << " allocated for a hostile length";
     if (!ok) {
       ASSERT_TRUE(target == expected) << "mutant " << i << " touched target";
       continue;

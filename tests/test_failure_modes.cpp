@@ -726,10 +726,11 @@ TEST(FailureModes, AdmissionRejectionsAreRetriedUnbilled) {
   policy.query_timeout = std::chrono::milliseconds(10000);
   serve::ResilientHandle resilient(async, policy);
 
-  // Four rapid pipelined submissions against capacity 1-in-service + 2
-  // queued: at least one is rejected at the door.
+  // lanes + 3 rapid pipelined submissions against capacity one in service
+  // per lane + 2 queued: at least one is rejected at the door.
+  const int burst = static_cast<int>(server.lanes()) + 3;
   std::vector<serve::PendingRetrieval> pending;
-  for (int i = 0; i < 4; ++i) pending.push_back(resilient.submit(v, 8));
+  for (int i = 0; i < burst; ++i) pending.push_back(resilient.submit(v, 8));
   for (auto& p : pending) EXPECT_EQ(p.get(), expected);
   server.shutdown();
 
@@ -737,8 +738,8 @@ TEST(FailureModes, AdmissionRejectionsAreRetriedUnbilled) {
   EXPECT_GE(stats.requests_rejected, 1);
   EXPECT_EQ(resilient.overloads_seen(), stats.requests_rejected);
   // Rejections never reached the victim: the bill is the logical count.
-  EXPECT_EQ(resilient.queries_billed(), 4);
-  EXPECT_EQ(stats.queries_served, 4);
+  EXPECT_EQ(resilient.queries_billed(), burst);
+  EXPECT_EQ(stats.queries_served, burst);
 }
 
 // ISSUE 9 acceptance: an AIMD-paced attack against an *undisclosed* server

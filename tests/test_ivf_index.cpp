@@ -8,6 +8,7 @@
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "fixtures.hpp"
 #include "retrieval/index.hpp"
 #include "retrieval/ivf_index.hpp"
 #include "retrieval/system.hpp"
@@ -154,11 +155,7 @@ TEST_F(IvfVsFlat, DeterministicAcrossShardAndThreadCounts) {
     }
   }
   // Same index, serial vs 8-worker pool: bitwise identical.
-  ThreadPool pool(8);
-  set_compute_pool(&pool);
-  struct Restore {
-    ~Restore() { set_compute_pool(nullptr); }
-  } restore;
+  const testing::PinnedComputePool pinned(8);
   const auto sharded = make_trained(ivf_config(16, 4, true, 4));
   for (const auto& q : queries_) {
     const auto serial = sharded.query(q, 10, false);
@@ -343,10 +340,8 @@ TEST_F(IvfSystemTest, EvaluateMapBitwiseAcrossThreadCountsOnIvf) {
   double maps[2];
   const std::size_t threads[2] = {1, 8};
   for (int t = 0; t < 2; ++t) {
-    ThreadPool pool(threads[t]);
-    set_compute_pool(&pool);
+    const testing::PinnedComputePool pinned(threads[t]);
     maps[t] = evaluate_map(*system, dataset_.test, 5);
-    set_compute_pool(nullptr);
   }
   EXPECT_EQ(maps[0], maps[1]);
 }

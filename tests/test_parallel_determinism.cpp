@@ -6,12 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "attack/surrogate.hpp"
 #include "common/thread_pool.hpp"
+#include "fixtures.hpp"
 #include "models/feature_extractor.hpp"
 #include "nn/conv3d.hpp"
 #include "nn/pool3d.hpp"
@@ -21,15 +24,10 @@
 namespace duo {
 namespace {
 
-// Runs fn with the compute pool pinned to `threads` workers, restoring the
-// shared pool afterwards even on exceptions.
+// Runs fn with the compute pool pinned to `threads` workers.
 template <typename Fn>
 auto with_compute_threads(std::size_t threads, Fn&& fn) {
-  ThreadPool pool(threads);
-  struct Restore {
-    ~Restore() { set_compute_pool(nullptr); }
-  } restore;
-  set_compute_pool(&pool);
+  const testing::PinnedComputePool pinned(threads);
   return fn();
 }
 
@@ -204,6 +202,68 @@ TEST(ParallelDeterminism, ExtractBatchFollowsParameterUpdates) {
     model->copy_parameters_from(*update);
     expect_features(batch(*model, 8), after, "batch after the update");
   }
+}
+
+// Where the pool runs calls inline — a pool worker, an outer call's own
+// share, an InlineScope such as a serve lane's — extract_batch's shards
+// would run one after another on the calling thread, so it makes no
+// replica and runs its serial loop on the instance it was called on. The
+// features stay bitwise equal to serial extract().
+TEST(ParallelDeterminism, ExtractBatchInsideParallelRegionMakesNoReplicas) {
+  const video::VideoGeometry geometry{8, 16, 16, 3};
+  std::vector<video::Video> videos;
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    videos.push_back(make_test_video(50 + i));
+  }
+  // One counter for every clone() call, on the models and their clones.
+  auto clones = std::make_shared<std::atomic<int>>(0);
+  auto hooks = std::make_shared<testing::ExtractorHooks>();
+  hooks->on_clone = [clones] { clones->fetch_add(1); };
+  auto make = [&] {
+    Rng rng(6);
+    auto model = std::make_unique<testing::HookedExtractor>(
+        models::make_extractor(models::ModelKind::kI3D, geometry, 16, rng),
+        hooks);
+    model->set_training(false);
+    return model;
+  };
+  std::vector<Tensor> serial;
+  {
+    auto model = make();
+    for (const auto& v : videos) serial.push_back(model->extract(v));
+  }
+  auto expect_serial = [&](const std::vector<Tensor>& got, const char* what) {
+    ASSERT_EQ(got.size(), serial.size()) << what;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      expect_bitwise_equal(got[i], serial[i], what);
+    }
+  };
+
+  with_compute_threads(4, [&] {
+    ThreadPool& pool = compute_pool();
+    // Inside an outer parallel_for: each item runs on a worker or on the
+    // caller's own share, each on its own instance.
+    std::vector<std::unique_ptr<testing::HookedExtractor>> models;
+    models.push_back(make());
+    models.push_back(make());
+    std::vector<std::vector<Tensor>> in_region(models.size());
+    pool.parallel_for(models.size(), [&](std::size_t i) {
+      in_region[i] = models[i]->extract_batch(videos);
+    });
+    EXPECT_EQ(clones->load(), 0);
+    for (const auto& got : in_region) expect_serial(got, "inside parallel_for");
+
+    // Inside an InlineScope, as on a serve lane.
+    {
+      const ThreadPool::InlineScope scope(pool);
+      expect_serial(models[0]->extract_batch(videos), "inside an InlineScope");
+    }
+    EXPECT_EQ(clones->load(), 0);
+
+    // Control: outside any region the same call shards over replicas.
+    expect_serial(models[0]->extract_batch(videos), "outside a region");
+    EXPECT_EQ(clones->load(), 3);
+  });
 }
 
 struct GalleryResult {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/thread_pool.hpp"
+#include "fixtures.hpp"
 #include "retrieval/index.hpp"
 #include "retrieval/system.hpp"
 #include "retrieval/trainer.hpp"
@@ -369,11 +370,7 @@ TEST_F(SystemTest, NonCloneableFallbackMatchesParallelPathBitwise) {
   // (parallel extract_batch), one wrapped to refuse cloning (serial
   // fallback). Their features must agree bitwise, even on a multi-worker
   // pool.
-  ThreadPool pool(4);
-  set_compute_pool(&pool);
-  struct Restore {
-    ~Restore() { set_compute_pool(nullptr); }
-  } restore;
+  const testing::PinnedComputePool pinned(4);
 
   Rng rng_a(77), rng_b(77);
   RetrievalSystem cloneable(
@@ -465,11 +462,7 @@ TEST_F(SystemTest, RetrieveFeatureInsideWorkerMatchesOutside) {
   // from inside compute_pool().parallel_for, where the per-shard scatter
   // used to re-enter the saturated pool. The fix runs the inner scan serial
   // on pool workers — results must be bitwise identical either way.
-  ThreadPool pool(4);
-  set_compute_pool(&pool);
-  struct Restore {
-    ~Restore() { set_compute_pool(nullptr); }
-  } restore;
+  const testing::PinnedComputePool pinned(4);
 
   const Tensor feature = system_->extractor().extract(dataset_.test.front());
   const auto outside = system_->retrieve_feature(feature, 8);
@@ -490,10 +483,8 @@ TEST_F(SystemTest, EvaluateMapBitwiseAcrossThreadCounts) {
   double maps[2];
   const std::size_t threads[2] = {1, 8};
   for (int t = 0; t < 2; ++t) {
-    ThreadPool pool(threads[t]);
-    set_compute_pool(&pool);
+    const testing::PinnedComputePool pinned(threads[t]);
     maps[t] = evaluate_map(*system_, dataset_.test, 5);
-    set_compute_pool(nullptr);
   }
   EXPECT_EQ(maps[0], maps[1]);
 }

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "attack/checkpoint.hpp"
+#include "heap_peak.hpp"
 #include "models/feature_extractor.hpp"
 #include "models/serialization.hpp"
 #include "retrieval/index.hpp"
@@ -21,8 +22,9 @@
 namespace duo::models {
 namespace {
 
-using duo::testing::kVmGrowthBoundKb;
-using duo::testing::peak_vm_kb;
+using duo::testing::heap_peak_bytes;
+using duo::testing::kHeapGrowthBoundBytes;
+using duo::testing::reset_heap_peak;
 
 video::VideoGeometry geo() { return {8, 12, 12, 3}; }
 
@@ -222,15 +224,13 @@ template <typename Out, typename Read>
 void expect_rejected_without_allocating(Read read, Out out,
                                         std::stringstream& buf) {
   const Out before = out;
-  const long peak_before = peak_vm_kb();
+  const std::int64_t heap_before = reset_heap_peak();
   bool ok = true;
   EXPECT_NO_THROW(ok = read(buf, out));
   EXPECT_FALSE(ok);
   EXPECT_TRUE(same(out, before)) << "a failed read changed its output";
-  if (peak_before >= 0) {
-    EXPECT_LT(peak_vm_kb() - peak_before, kVmGrowthBoundKb)
-        << "the reader allocated for the claimed length";
-  }
+  EXPECT_LT(heap_peak_bytes() - heap_before, kHeapGrowthBoundBytes)
+      << "the reader allocated for the claimed length";
 }
 
 const std::int64_t kHostileClaims[] = {
@@ -418,7 +418,7 @@ TEST(SerializationIo, SealedEnvelopeLengthBoundedByFile) {
       {"file size + 1", testing::kEnvelopeBytes + 1}};
   for (const auto& [label, claim] : claims) {
     SCOPED_TRACE(std::string("claimed payload ") + label);
-    const long peak_before = peak_vm_kb();
+    const std::int64_t heap_before = reset_heap_peak();
     bool ok = true;
     parsed = false;
     testing::write_envelope(path, kMagic, empty_digest, claim, "");
@@ -442,10 +442,8 @@ TEST(SerializationIo, SealedEnvelopeLengthBoundedByFile) {
     EXPECT_NO_THROW(ok = serve::load_snapshot(snap, path));
     EXPECT_FALSE(ok);
     EXPECT_TRUE(snap == expected);
-    if (peak_before >= 0) {
-      EXPECT_LT(peak_vm_kb() - peak_before, kVmGrowthBoundKb)
-          << "a loader allocated for the claimed size";
-    }
+    EXPECT_LT(heap_peak_bytes() - heap_before, kHeapGrowthBoundBytes)
+        << "a loader allocated for the claimed size";
   }
   std::remove(path.c_str());
 }
@@ -569,14 +567,12 @@ TEST(SerializationIo, CheckpointLengthPrefixBoundedByFile) {
 
   attack::SparseQueryCheckpoint ck;
   ck.queries = -55;  // sentinel
-  const long peak_before = peak_vm_kb();
+  const std::int64_t heap_before = reset_heap_peak();
   bool ok = true;
   EXPECT_NO_THROW(ok = attack::load_checkpoint(ck, path));
   EXPECT_FALSE(ok);
   EXPECT_EQ(ck.queries, -55);
-  if (peak_before >= 0) {
-    EXPECT_LT(peak_vm_kb() - peak_before, kVmGrowthBoundKb);
-  }
+  EXPECT_LT(heap_peak_bytes() - heap_before, kHeapGrowthBoundBytes);
   std::remove(path.c_str());
 }
 
@@ -749,7 +745,6 @@ void expect_survives_seeded_mutation(const Checkpoint& sample,
 
   constexpr int kMutants = 12000;
   Rng rng(0xC4EC);
-  const long peak_before = peak_vm_kb();
   int loaded = 0;
   for (int i = 0; i < kMutants; ++i) {
     const std::string m = testing::seeded_mutant(i, base, donor, lengths, rng);
@@ -757,11 +752,10 @@ void expect_survives_seeded_mutation(const Checkpoint& sample,
     Checkpoint target = sample;
     target.queries = -55;  // sentinel
     const Checkpoint expected = target;
+    const std::int64_t heap_before = reset_heap_peak();
     const bool ok = attack::load_checkpoint(target, path);
-    if (peak_before >= 0) {
-      ASSERT_LT(peak_vm_kb() - peak_before, kVmGrowthBoundKb)
-          << "mutant " << i << " allocated for a hostile length";
-    }
+    ASSERT_LT(heap_peak_bytes() - heap_before, kHeapGrowthBoundBytes)
+        << "mutant " << i << " allocated for a hostile length";
     if (!ok) {
       ASSERT_TRUE(same(target, expected))
           << "mutant " << i << " touched target";

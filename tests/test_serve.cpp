@@ -9,15 +9,19 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "campaign/fairness.hpp"
 #include "common/thread_pool.hpp"
+#include "fixtures.hpp"
 #include "metrics/metrics.hpp"
 #include "serve/admission.hpp"
 #include "serve/async_handle.hpp"
@@ -71,6 +75,81 @@ struct ServeWorld {
     return w;
   }
 };
+
+// Forwards of an extractor and its clones meet here. Once armed with n, a
+// forward waits until n forwards wait at once, or kBound passes, and then
+// goes ahead. `met` records that n forwards were in flight together; the
+// bound only keeps a server that never runs them together from hanging the
+// test, which then fails on `met`.
+struct Rendezvous {
+  static constexpr std::chrono::seconds kBound{10};
+
+  std::mutex mutex;
+  std::condition_variable cv;
+  int needed = 0;   // 0: disarmed, forwards pass straight through
+  int started = 0;  // forwards that arrived while armed
+  int waiting = 0;
+  bool met = false;
+
+  void arm(int n) {
+    std::lock_guard<std::mutex> lock(mutex);
+    needed = n;
+  }
+  void arrive() {
+    std::unique_lock<std::mutex> lock(mutex);
+    if (needed == 0) return;
+    ++started;
+    if (++waiting >= needed) met = true;
+    cv.notify_all();
+    cv.wait_for(lock, kBound, [this] { return met; });
+    --waiting;
+  }
+  // Waits (bounded) until `n` forwards have arrived.
+  bool wait_started(int n) {
+    std::unique_lock<std::mutex> lock(mutex);
+    return cv.wait_for(lock, kBound, [&] { return started >= n; });
+  }
+  bool was_met() {
+    std::lock_guard<std::mutex> lock(mutex);
+    return met;
+  }
+};
+
+// Waits, up to 10 s, until `server`'s lanes have taken `ticks` batches off
+// the queue: every tick records its occupancy.
+bool wait_for_ticks(const RetrievalServer& server, std::int64_t ticks) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (;;) {
+    const auto deciles = server.stats().occupancy_deciles;
+    if (std::accumulate(deciles.begin(), deciles.end(), std::int64_t{0}) >=
+        ticks) {
+      return true;
+    }
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+// ServeWorld's gallery and weights behind an extractor whose every forward,
+// on the system's extractor and on its clones, passes through `rendezvous`,
+// so forwards on different lanes meet and answers equal
+// ServeWorld::expected.
+std::unique_ptr<retrieval::RetrievalSystem> rendezvous_system(
+    const std::shared_ptr<Rendezvous>& rendezvous) {
+  const auto& w = ServeWorld::instance();
+  Rng rng(91);
+  auto hooks = std::make_shared<testing::ExtractorHooks>();
+  hooks->on_forward = [rendezvous] { rendezvous->arrive(); };
+  auto system = std::make_unique<retrieval::RetrievalSystem>(
+      std::make_unique<testing::HookedExtractor>(
+          models::make_extractor(models::ModelKind::kC3D, w.spec.geometry, 16,
+                                 rng),
+          std::move(hooks)),
+      3);
+  system->add_all(w.dataset.train);
+  return system;
+}
 
 TEST(Serve, AnswersMatchDirectRetrieveAcrossBatchSizes) {
   auto& w = ServeWorld::mutable_instance();
@@ -365,7 +444,7 @@ TEST(Serve, SubmitWithDeadlineTimesOutUnderBackpressure) {
   ServerConfig cfg;
   cfg.max_batch = 1;
   cfg.queue_capacity = 1;
-  // Every request is slowed down, so the scheduler is predictably busy while
+  // Every request is slowed down, so every lane is predictably busy while
   // the bounded-deadline submission waits on a full queue.
   FaultConfig fc;
   fc.delay_prob = 1.0;
@@ -374,14 +453,24 @@ TEST(Serve, SubmitWithDeadlineTimesOutUnderBackpressure) {
   RetrievalServer server(*w.system, cfg);
   AsyncBlackBoxHandle handle(server);
 
-  auto first = handle.submit(w.dataset.test[0], 5);   // drained, sleeping
-  auto second = handle.submit(w.dataset.test[1], 5);  // occupies the queue
-  EXPECT_EQ(handle.query_count(), 2);
+  // One request per lane (each drained, sleeping), then one that occupies
+  // the queue. A submit blocks until a lane drains its predecessor, so every
+  // lane holds a request before the last one fills the queue.
+  const std::size_t held = server.lanes() + 1;
+  const auto test_index = [&](std::size_t i) {
+    return i % w.dataset.test.size();
+  };
+  std::vector<std::future<metrics::RetrievalList>> busy;
+  for (std::size_t i = 0; i < held; ++i) {
+    busy.push_back(handle.submit(w.dataset.test[test_index(i)], 5));
+  }
+  EXPECT_EQ(handle.query_count(), static_cast<std::int64_t>(held));
 
   SubmitOutcome rejected = handle.submit_with_deadline(
-      w.dataset.test[2], 5, std::chrono::milliseconds(10));
+      w.dataset.test[test_index(held)], 5, std::chrono::milliseconds(10));
   EXPECT_FALSE(rejected.accepted);
-  EXPECT_EQ(handle.query_count(), 2);  // rejection is not billed
+  EXPECT_EQ(handle.query_count(),
+            static_cast<std::int64_t>(held));  // rejection is not billed
   try {
     (void)rejected.future.get();
     FAIL() << "rejected submission should not hold a value";
@@ -392,8 +481,9 @@ TEST(Serve, SubmitWithDeadlineTimesOutUnderBackpressure) {
   }
 
   // The delayed requests are answered correctly despite the slowdown.
-  EXPECT_EQ(first.get(), w.expected[0]);
-  EXPECT_EQ(second.get(), w.expected[1]);
+  for (std::size_t i = 0; i < held; ++i) {
+    EXPECT_EQ(busy[i].get(), w.expected[test_index(i)]);
+  }
   server.shutdown();
 
   // With room in the queue, the bounded submission is accepted and billed.
@@ -500,10 +590,12 @@ TEST(Admission, RejectPolicyTurnsAwayUnderLoadWithRetryAfter) {
   RetrievalServer server(*w.system, cfg);
   AsyncBlackBoxHandle handle(server);
 
-  // Pigeonhole: at most 1 request in service plus 2 queued within the first
-  // delay window, so among 5 rapid submissions at least 2 must be rejected.
+  // Pigeonhole: at most one request in service per lane plus 2 queued
+  // within the first delay window, so among lanes + 4 rapid submissions at
+  // least 2 must be rejected.
+  const int burst = static_cast<int>(server.lanes()) + 4;
   std::vector<SubmitOutcome> outs;
-  for (int i = 0; i < 5; ++i) {
+  for (int i = 0; i < burst; ++i) {
     outs.push_back(handle.submit_with_deadline(w.dataset.test[0], 5,
                                                std::chrono::milliseconds(0)));
   }
@@ -528,8 +620,8 @@ TEST(Admission, RejectPolicyTurnsAwayUnderLoadWithRetryAfter) {
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.requests_rejected, rejected);
   // Billing identity: accepted == billed == eventually served here.
-  EXPECT_EQ(handle.query_count(), 5 - rejected);
-  EXPECT_EQ(stats.queries_served, 5 - rejected);
+  EXPECT_EQ(handle.query_count(), burst - rejected);
+  EXPECT_EQ(stats.queries_served, burst - rejected);
 }
 
 TEST(Admission, ShedPolicyEvictsOldestAndKeepsAccountingConsistent) {
@@ -547,15 +639,17 @@ TEST(Admission, ShedPolicyEvictsOldestAndKeepsAccountingConsistent) {
 
   // Every submission is accepted (and billed); overload is paid by evicting
   // a queued request. None of these carry a deadline, so the deadline-aware
-  // policy falls back to oldest-first. With at most 1 in service + 2 queued
-  // early on, at least 3 of 6 rapid submissions must shed a predecessor.
+  // policy falls back to oldest-first. With at most one request in service
+  // per lane + 2 queued early on, at least 3 of lanes + 5 rapid submissions
+  // must shed a predecessor.
+  const int burst = static_cast<int>(server.lanes()) + 5;
   std::vector<SubmitOutcome> outs;
-  for (int i = 0; i < 6; ++i) {
+  for (int i = 0; i < burst; ++i) {
     outs.push_back(handle.submit_with_deadline(w.dataset.test[0], 5,
                                                std::chrono::milliseconds(0)));
   }
   for (const auto& out : outs) EXPECT_TRUE(out.accepted);
-  EXPECT_EQ(handle.query_count(), 6);
+  EXPECT_EQ(handle.query_count(), burst);
   server.shutdown();
 
   int shed = 0;
@@ -575,7 +669,7 @@ TEST(Admission, ShedPolicyEvictsOldestAndKeepsAccountingConsistent) {
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.requests_shed, shed);
   // Every accepted (billed) request ends exactly one way: served or shed.
-  EXPECT_EQ(stats.queries_served + stats.requests_shed, 6);
+  EXPECT_EQ(stats.queries_served + stats.requests_shed, burst);
 }
 
 TEST(Admission, PerClientRateLimitThrottlesDeterministically) {
@@ -1231,7 +1325,7 @@ TEST(Admission, ShedPolicyEvictsClosestToDeadlineFirst) {
   cfg.admission = AdmissionPolicy::kShed;
   FaultConfig fc;
   fc.delay_prob = 1.0;
-  fc.delay_ms = 100.0;  // wall sleep: keeps the worker busy, clock frozen
+  fc.delay_ms = 100.0;  // wall sleep: keeps each lane busy, clock frozen
   cfg.fault_injector = std::make_shared<FaultInjector>(fc);
   RetrievalServer server(*w.system, cfg);
 
@@ -1242,15 +1336,16 @@ TEST(Admission, ShedPolicyEvictsClosestToDeadlineFirst) {
   AsyncBlackBoxHandle patient_handle(server, patient);
   AsyncBlackBoxHandle urgent_handle(server, urgent);
 
-  // One patient request, then a storm of urgent ones. Every shed scan runs
-  // over a full queue (capacity 2), which always holds at least one urgent
-  // request — strictly closer to its deadline than the patient one — so the
-  // patient request is never the victim.
+  // One patient request, then a storm of urgent ones, lanes + 3 of them.
+  // Every shed scan runs over a full queue (capacity 2), which always holds
+  // at least one urgent request — strictly closer to its deadline than the
+  // patient one — so the patient request is never the victim.
   SubmitOutcome keeper = patient_handle.submit_with_deadline(
       w.dataset.test[0], 5, std::chrono::milliseconds(0));
   ASSERT_TRUE(keeper.accepted);
+  const int storm_size = static_cast<int>(server.lanes()) + 3;
   std::vector<SubmitOutcome> storm;
-  for (int i = 0; i < 4; ++i) {
+  for (int i = 0; i < storm_size; ++i) {
     storm.push_back(urgent_handle.submit_with_deadline(
         w.dataset.test[1], 5, std::chrono::milliseconds(0)));
   }
@@ -1268,12 +1363,13 @@ TEST(Admission, ShedPolicyEvictsClosestToDeadlineFirst) {
       EXPECT_TRUE(e.billed());
     }
   }
-  EXPECT_GE(shed, 2);  // at most 1 in service + 2 queued among 5 accepted
+  // At most one in service per lane + 2 queued among lanes + 4 accepted.
+  EXPECT_GE(shed, 2);
 
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.requests_shed, shed);
   EXPECT_EQ(stats.requests_expired, 0);  // frozen clock: closer, not late
-  EXPECT_EQ(stats.queries_served + stats.requests_shed, 5);
+  EXPECT_EQ(stats.queries_served + stats.requests_shed, storm_size + 1);
 }
 
 // ISSUE 9 satellite regression: overload pushback (kThrottled / kOverloaded)
@@ -1326,11 +1422,14 @@ TEST(Circuit, OverloadPushbackNeverTripsTheBreaker) {
     RetrievalServer server(*w.system, cfg);
     AsyncBlackBoxHandle async(server);
 
-    // Saturate: let the first request reach the worker (it holds it for
-    // 200 ms), then fill both queue slots — rejections follow for ~150 ms.
+    // Saturate: hand one request to each lane (each holds it for 200 ms),
+    // then fill both queue slots — rejections follow for ~200 ms.
     std::vector<std::future<metrics::RetrievalList>> pending;
-    pending.push_back(server.submit(w.dataset.test[0], 5));
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    for (std::int64_t lane = 0; lane < static_cast<std::int64_t>(server.lanes());
+         ++lane) {
+      pending.push_back(server.submit(w.dataset.test[0], 5));
+      ASSERT_TRUE(wait_for_ticks(server, lane + 1));
+    }
     pending.push_back(server.submit(w.dataset.test[0], 5));
     pending.push_back(server.submit(w.dataset.test[0], 5));
 
@@ -1376,7 +1475,7 @@ TEST(Serve, BatchTimeoutCoalescesFullBatchesDeterministically) {
   }
   server.shutdown();
 
-  // However submits interleave with the scheduler, the wait-for-full-batch
+  // However submits interleave with the lanes, the wait-for-full-batch
   // predicate guarantees a single tick drained all four.
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.queries_served, 4);
@@ -1712,6 +1811,10 @@ TEST(Serve, DegradationLadderEngagesUnderPressureAndRestores) {
   retrieval::RetrievalSystem system(std::move(extractor), icfg);
   system.add_all(dataset.train);
 
+  // Four lanes whatever DUO_THREADS says, so the ladder is ticked from
+  // several threads. With at most one request per lane in service, a tick
+  // after the burst still starts at occupancy >= 8 - 4.
+  const testing::PinnedComputePool pinned(4);
   ServerConfig cfg;
   cfg.max_batch = 1;
   cfg.queue_capacity = 8;
@@ -1719,9 +1822,10 @@ TEST(Serve, DegradationLadderEngagesUnderPressureAndRestores) {
   cfg.degrade_low = 0.125;  // leave once it drains to <= 1
   FaultConfig fc;
   fc.delay_prob = 1.0;
-  fc.delay_ms = 60.0;  // each served request holds the worker 60 ms
+  fc.delay_ms = 60.0;  // each served request holds its lane 60 ms
   cfg.fault_injector = std::make_shared<FaultInjector>(fc);
   RetrievalServer server(system, cfg);
+  ASSERT_GE(server.lanes(), 2u);
 
   std::vector<std::future<metrics::RetrievalList>> futures;
   for (int i = 0; i < 8; ++i) {
@@ -1737,7 +1841,7 @@ TEST(Serve, DegradationLadderEngagesUnderPressureAndRestores) {
   EXPECT_FALSE(stats.degraded_now);
   // Drained server leaves the index exactly as it found it.
   EXPECT_FALSE(system.index_degraded());
-  // Every scheduler tick recorded its tick-start occupancy (no expiries in
+  // Every lane tick recorded its tick-start occupancy (no expiries in
   // this run, so ticks == batches), and some tick saw the queue half full.
   ASSERT_EQ(stats.occupancy_deciles.size(), 11u);
   const std::int64_t ticks =
@@ -1772,6 +1876,67 @@ TEST(Serve, DegradationLadderEngagesUnderPressureAndRestores) {
   EXPECT_EQ(flat_stats.degrade_entries, 0);
   EXPECT_DOUBLE_EQ(flat_stats.degraded_ms, 0.0);
   EXPECT_FALSE(w.system->index_degraded());
+}
+
+// A lane serves a request while another lane runs a forward: the second
+// request does not wait in the queue for the first batch to finish. The
+// first forward waits (bounded) for a second forward to join it, and the
+// second request is submitted only once the first forward has started.
+TEST(Serve, SecondRequestIsServedWhileAForwardRuns) {
+  const auto& w = ServeWorld::instance();
+  auto rendezvous = std::make_shared<Rendezvous>();
+  auto system = rendezvous_system(rendezvous);
+  const testing::PinnedComputePool pinned(2);
+  RetrievalServer server(*system);
+  ASSERT_EQ(server.lanes(), 2u);
+  rendezvous->arm(2);
+
+  auto first = server.submit(w.dataset.test[0], 5);
+  ASSERT_TRUE(rendezvous->wait_started(1));
+  auto second = server.submit(w.dataset.test[1], 5);
+  EXPECT_EQ(second.get(), w.expected[1]);
+  EXPECT_EQ(first.get(), w.expected[0]);
+  server.shutdown();
+  EXPECT_TRUE(rendezvous->was_met())
+      << "the second request waited for the first forward to finish";
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.queries_served, 2);
+  EXPECT_EQ(stats.batches, 2);
+}
+
+// A weight update on the system's extractor between batches reaches every
+// lane, including lanes whose replicas were cloned before the update. One
+// request per lane, all held at one rendezvous, so every lane serves one.
+TEST(Serve, EveryLaneFollowsAWeightUpdate) {
+  const auto& w = ServeWorld::instance();
+  auto rendezvous = std::make_shared<Rendezvous>();
+  auto system = rendezvous_system(rendezvous);
+  const testing::PinnedComputePool pinned(4);
+  RetrievalServer server(*system);
+  const std::size_t lanes = server.lanes();
+  ASSERT_EQ(lanes, 4u);
+
+  Rng rng(92);
+  const auto update = models::make_extractor(models::ModelKind::kC3D,
+                                             w.spec.geometry, 16, rng);
+  system->extractor().copy_parameters_from(*update);
+  rendezvous->arm(static_cast<int>(lanes));
+  std::vector<std::future<metrics::RetrievalList>> futures;
+  for (std::size_t i = 0; i < lanes; ++i) {
+    futures.push_back(server.submit(w.dataset.test[i], 5));
+  }
+  std::vector<metrics::RetrievalList> served;
+  for (auto& f : futures) served.push_back(f.get());
+  server.shutdown();
+  EXPECT_TRUE(rendezvous->was_met()) << "the requests did not meet, one per lane";
+
+  rendezvous->arm(0);
+  bool any_moved = false;
+  for (std::size_t i = 0; i < lanes; ++i) {
+    EXPECT_EQ(served[i], system->retrieve(w.dataset.test[i], 5)) << i;
+    any_moved = any_moved || served[i] != w.expected[i];
+  }
+  EXPECT_TRUE(any_moved) << "the update changed no answer; the test is blind";
 }
 
 // ISSUE 9: the throttle hint histogram. Virtual time stands still, so the

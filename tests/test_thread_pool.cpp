@@ -119,16 +119,19 @@ TEST(ThreadPool, NestedParallelForRunsInlineOnWorkers) {
   ThreadPool pool(3);
   std::atomic<int> nested_items{0};
   std::atomic<int> escaped{0};  // nested items that hopped to another thread
+  std::atomic<int> not_inline{0};  // outer items the query called fan-outs
   std::atomic<int> started{0};
   run_with_deadline(
       [&] {
+        const std::thread::id caller = std::this_thread::get_id();
         pool.parallel_for(3, [&](std::size_t) {
           // Hold every outer item until all three run concurrently: with a
           // single caller thread, at least two must be on pool workers.
           started.fetch_add(1);
           while (started.load() < 3) std::this_thread::yield();
-          const bool on_worker = pool.in_worker_context();
+          if (!pool.runs_inline()) not_inline.fetch_add(1);
           const std::thread::id outer_thread = std::this_thread::get_id();
+          const bool on_worker = outer_thread != caller;
           pool.parallel_for(5, [&](std::size_t) {
             if (on_worker) {
               nested_items.fetch_add(1);
@@ -141,9 +144,55 @@ TEST(ThreadPool, NestedParallelForRunsInlineOnWorkers) {
       },
       std::chrono::seconds(10));
   // Worker-context nesting must degrade to inline execution: every nested
-  // item of a worker-executed outer item stays on that worker's thread.
+  // item of a worker-executed outer item stays on that worker's thread, and
+  // runs_inline() says so from inside every outer item.
   EXPECT_GT(nested_items.load(), 0);
   EXPECT_EQ(escaped.load(), 0);
+  EXPECT_EQ(not_inline.load(), 0);
+  EXPECT_FALSE(pool.runs_inline());  // the caller, outside the call
+}
+
+// A thread that holds an InlineScope on a pool runs every parallel_for it
+// issues on that pool inline, as a pool worker does: a serve lane relies on
+// this to serve a batch without fanning it out. The scope is per pool and
+// per thread, nests, and ends with its object.
+TEST(ThreadPool, InlineScopeKeepsEveryIndexOnItsThread) {
+  ThreadPool pool(4);
+  ThreadPool other(2);
+  std::atomic<int> items{0};
+  std::atomic<int> escaped{0};
+  std::atomic<int> seen_inline_elsewhere{0};
+  run_with_deadline(
+      [&] {
+        const std::thread::id self = std::this_thread::get_id();
+        EXPECT_FALSE(pool.runs_inline());
+        {
+          const ThreadPool::InlineScope scope(pool);
+          EXPECT_TRUE(pool.runs_inline());
+          EXPECT_FALSE(other.runs_inline());
+          {
+            const ThreadPool::InlineScope nested(other);
+            EXPECT_TRUE(other.runs_inline());
+          }
+          EXPECT_TRUE(pool.runs_inline());
+          EXPECT_FALSE(other.runs_inline());
+          // Slow items: a fan-out would hand some to the idle workers.
+          pool.parallel_for(16, [&](std::size_t) {
+            items.fetch_add(1);
+            if (std::this_thread::get_id() != self) escaped.fetch_add(1);
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+          });
+          // The scope belongs to this thread: another thread still fans out.
+          std::thread([&] {
+            if (pool.runs_inline()) seen_inline_elsewhere.fetch_add(1);
+          }).join();
+        }
+        EXPECT_FALSE(pool.runs_inline());
+      },
+      std::chrono::seconds(10));
+  EXPECT_EQ(items.load(), 16);
+  EXPECT_EQ(escaped.load(), 0);
+  EXPECT_EQ(seen_inline_elsewhere.load(), 0);
 }
 
 // The caller's own share of an outer parallel_for is nested context too: a
